@@ -9,11 +9,12 @@ from .experiments import (Crossing, ScanConfig, ScanResult, ScanRow,
                           connectivity_scan, er_connectivity_oracle, giant_scan,
                           resolve_grid, run_scan, threshold_locator)
 from .graph import (ComponentStats, ThresholdGraph, build_graph, components,
-                    components_bfs, small_component_mass)
+                    components_bfs, histogram_stats, small_component_mass,
+                    threshold_sweep)
 from .orlicz import (Cap, ExponentialDecay, GobSpec, Indicator, Linear,
                      PiecewiseLinearConvex, Power, PowerDecay, chord,
                      eval_component, inverse_at_one, m_bound, membership)
-from .rng import replicate_stream, substream
+from .rng import substream
 from .samplers import (SamplerConfig, ValidationReport, exact_twin,
                        hit_and_run, ks_critical, make_sampler, sample_cube,
                        sample_lq_orthant, sample_shared_scale, sample_simplex,

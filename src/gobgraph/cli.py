@@ -1,7 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 configuration error, 3 validation failure,
-4 I/O error.
+4 I/O error.  Internal errors are not config errors: a broken invariant
+inside a run (a RuntimeError, such as two components of order > n/2 in
+one scan graph) is not caught here and ends the command with a traceback
+and exit status 1.
 """
 
 import argparse

@@ -3,9 +3,11 @@ giant-component regimes, plus the exact small-n oracle.
 
 Within a replicate one edge vector is drawn and thresholded at every p
 on the grid (coupling), which enforces monotonicity in p and cuts the
-variance of crossing-point estimates.  All per-cell accumulators are
-integers, so reduction is exact and order-independent: results do not
-depend on the worker count.
+variance of crossing-point estimates.  The whole grid is read off one
+Newman-Ziff sweep per replicate (`graph.threshold_sweep`): every
+accumulator comes from the component-order histogram at each p.  All
+per-cell accumulators are integers, so reduction is exact and
+order-independent: results do not depend on the worker count.
 """
 
 import math
@@ -16,7 +18,10 @@ from fractions import Fraction
 import numpy as np
 
 from .estimators import wilson_interval
-from .graph import build_graph, components, small_component_mass
+from .graph import threshold_sweep
+# not called here, but kept bound: the benchmark's tracer (perfbench/child.py)
+# wraps these two names in this module
+from .graph import build_graph, components  # noqa: F401
 from .rng import substream
 from .samplers import make_sampler
 
@@ -102,42 +107,51 @@ def _pilot_sigma(sampler, stream, draws, dim, chunk=200):
     return math.sqrt(total / (draws * dim))
 
 
+# integer accumulators per grid cell, in the order `_cell_counts` returns them
+_ACC_KEYS = ("connected", "has_isolated", "mid", "big", "giant",
+             "isolated_sum", "max_comp_sum", "small_mass_sum", "over_quarter_sum")
+
+
+def _cell_counts(hist, n, big_thresh, mass_cutoff):
+    """One replicate's contribution to each accumulator, from the
+    {component order: count} histogram of its graph at one p."""
+    largest = max(hist)
+    isolated = hist.get(1, 0)
+    giants = over_quarter = small_mass = 0
+    mid = False
+    for order, count in hist.items():
+        if order > n / 2:
+            giants += count
+        elif order >= big_thresh:
+            mid = True
+        if order > n / 4:
+            over_quarter += count
+        if order <= mass_cutoff:
+            small_mass += order * count
+    if giants > 1:
+        raise RuntimeError(
+            f"pigeonhole violated: {giants} components of order > n/2 at n={n}")
+    return (int(largest == n), int(isolated > 0), int(mid),
+            int(largest >= big_thresh), giants, isolated, largest,
+            small_mass, over_quarter)
+
+
 def _scan_chunk(payload):
     """Run replicates [r0, r1) for one (n, grid) cell row; integer sums only."""
     spec, sampler_cfg, p_values, master_seed, n_index, r0, r1, beta = payload
     n = spec.n
     sampler = make_sampler(spec, sampler_cfg)
-    P = len(p_values)
     big_thresh = beta * math.log(n)
     mass_cutoff = max(1, math.floor(big_thresh))
-    acc = {
-        "connected": np.zeros(P, dtype=np.int64),
-        "has_isolated": np.zeros(P, dtype=np.int64),
-        "mid": np.zeros(P, dtype=np.int64),
-        "big": np.zeros(P, dtype=np.int64),
-        "giant": np.zeros(P, dtype=np.int64),
-        "isolated_sum": np.zeros(P, dtype=np.int64),
-        "max_comp_sum": np.zeros(P, dtype=np.int64),
-        "small_mass_sum": np.zeros(P, dtype=np.int64),
-        "over_quarter_sum": np.zeros(P, dtype=np.int64),
-    }
+    counts = []
     for r in range(r0, r1):
         stream = substream(master_seed, (n_index, r + 1))
         x = sampler(stream, 1)[0]
-        for k, p in enumerate(p_values):
-            stats = components(build_graph(x, n, p))
-            giants = sum(1 for sz in stats.sizes if sz > n / 2)
-            assert giants <= 1, "pigeonhole violated: multiple components > n/2"
-            acc["connected"][k] += stats.connected
-            acc["has_isolated"][k] += stats.isolated_count > 0
-            acc["mid"][k] += any(big_thresh <= sz <= n / 2 for sz in stats.sizes)
-            acc["big"][k] += stats.max_component >= big_thresh
-            acc["giant"][k] += giants
-            acc["isolated_sum"][k] += stats.isolated_count
-            acc["max_comp_sum"][k] += stats.max_component
-            acc["small_mass_sum"][k] += small_component_mass(stats, mass_cutoff)
-            acc["over_quarter_sum"][k] += sum(1 for sz in stats.sizes if sz > n / 4)
-    return acc
+        for hist in threshold_sweep(x, n, p_values):
+            counts.append(_cell_counts(hist, n, big_thresh, mass_cutoff))
+    sums = np.array(counts, dtype=np.int64).reshape(
+        r1 - r0, len(p_values), len(_ACC_KEYS)).sum(axis=0)
+    return {key: sums[:, j] for j, key in enumerate(_ACC_KEYS)}
 
 
 def run_scan(specs, sampler_cfg, cfg, master_seed, workers=1):

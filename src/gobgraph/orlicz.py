@@ -319,7 +319,10 @@ class GobSpec:
         if self._lin_idx is not None:
             s += X[:, self._lin_idx] @ self._lin_inv
         if self._pow_idx is not None:
-            s += np.sum((X[:, self._pow_idx] * self._pow_inv) ** self._pow_q, axis=1)
+            # one temporary, powered in place: see samplers._draw_on_chord
+            P = X[:, self._pow_idx] * self._pow_inv
+            P **= self._pow_q
+            s += np.sum(P, axis=1)
         for k, c in self._pwl:
             s += c.value(X[:, k])
         if self._cap_idx is not None:

@@ -23,8 +23,3 @@ def substream(master_seed, key):
         raise ValueError(f"stream key entries must be nonnegative, got {key}")
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=key)
     return np.random.default_rng(ss)
-
-
-def replicate_stream(master_seed, replicate_index):
-    """Stream for one Monte Carlo replicate."""
-    return substream(master_seed, (replicate_index,))

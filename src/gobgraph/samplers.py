@@ -9,7 +9,6 @@ the ball.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .edges import edge_count
 from .orlicz import Cap, GobSpec, Indicator, Linear, Power
@@ -121,10 +120,17 @@ def start_point(spec, mode="origin_nudge"):
     raise ValueError(f"unknown start mode {mode!r}")
 
 
-def _draw_on_chord(spec, x, u, t_lo, t_hi, stream):
-    """Inverse-CDF draw from density prop. to h(sum f(x + t*u)) on the chord."""
+def _draw_on_chord(spec, x, u, t_lo, t_hi, stream, grid):
+    """Inverse-CDF draw from density prop. to h(sum f(x + t*u)) on the chord.
+
+    `grid` is a (_CHORD_GRID, dim) work array that the caller reuses on
+    every step: allocating and freeing arrays this size each step makes
+    the C allocator hand the pages back and fault them in again.
+    """
     ts = np.linspace(t_lo, t_hi, _CHORD_GRID)
-    Y = np.clip(x[None, :] + ts[:, None] * u[None, :], 0.0, None)
+    Y = np.multiply.outer(ts, u, out=grid)
+    Y += x
+    np.clip(Y, 0.0, None, out=Y)
     w = spec.radial_density.weight(spec.total_batch(Y))
     dt = ts[1] - ts[0]
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * dt)])
@@ -148,6 +154,7 @@ def hit_and_run(spec, cfg, stream, count):
     if uniform_chord and linear_only:
         return _hit_and_run_linear(spec, x, stream, count, burn, thin)
     out = np.empty((count, d))
+    grid = None if uniform_chord else np.empty((_CHORD_GRID, d))
     k = 0
     total_steps = burn + count * thin
     for step in range(total_steps):
@@ -157,7 +164,7 @@ def hit_and_run(spec, cfg, stream, count):
         if uniform_chord:
             t = stream.uniform(t_lo, t_hi)
         else:
-            t = _draw_on_chord(spec, x, u, t_lo, t_hi, stream)
+            t = _draw_on_chord(spec, x, u, t_lo, t_hi, stream, grid)
         x = np.clip(x + t * u, 0.0, None)
         if step >= burn and (step - burn) % thin == thin - 1:
             out[k] = x
@@ -282,6 +289,9 @@ def validate_sampler(spec, cfg, stream_pair, draws=8000, alpha=0.01):
     twin = exact_twin(spec)
     if twin is None:
         return ValidationReport(ok=None, reason="no exact twin sampler for this spec")
+    # imported here, not at module top: scipy.stats adds about 1 s to the
+    # start of every command, and only this battery uses it
+    from scipy import stats
     exact = make_sampler(spec, SamplerConfig(method=twin))
     hr = make_sampler(spec, SamplerConfig(
         method="hit_and_run", burn_in=cfg.burn_in, thinning=cfg.thinning,

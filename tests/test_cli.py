@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+import gobgraph
 from gobgraph.cli import main
 from gobgraph.config import (ConfigError, build_spec, config_hash, n_list,
                              normalized, parse_config)
@@ -321,3 +324,14 @@ def test_cli_exit_codes(tmp_path):
     blocker = tmp_path / "file_not_dir"
     blocker.write_text("")
     assert main(["sample", "--config", ok, "--out", str(blocker)]) == 4
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs about a second of start-up; only validate_sampler
+    # needs it, so importing the CLI must not pull it in
+    src = str(Path(gobgraph.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, gobgraph.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

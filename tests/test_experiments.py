@@ -140,6 +140,17 @@ def test_scan_deterministic_across_workers():
     assert a.rows == b.rows
 
 
+def test_simplex_scan_rows_identical_across_workers():
+    specs = [GobSpec(n, Linear(1.0)) for n in (12, 20)]
+    cfg = ScanConfig(mode="connectivity", replicates=250,
+                     gammas=(0.4, 1.5, 0.8, 0.8), pilot_draws=100)
+    sampler_cfg = SamplerConfig(method="exact_simplex")
+    a = run_scan(specs, sampler_cfg, cfg, 11, workers=1)
+    b = run_scan(specs, sampler_cfg, cfg, 11, workers=2)
+    assert a.rows == b.rows
+    assert a.meta == b.meta
+
+
 def test_scan_meta_and_mode_guards():
     result = _cube_scan([5], 100, (0.5,))
     assert result.meta["mode"] == "connectivity"

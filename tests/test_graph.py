@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gobgraph import (build_graph, components, components_bfs, edge_count,
-                      edge_index, edge_pairs, small_component_mass)
+                      edge_index, edge_pairs, histogram_stats,
+                      small_component_mass, threshold_sweep)
+from gobgraph.experiments import _cell_counts
 
 
 # ---------------------------------------------------------------------------
@@ -119,3 +125,58 @@ def test_union_find_matches_bfs():
         x = rng.random(edge_count(n))
         g = build_graph(x, n, float(rng.uniform(0.05, 0.95)))
         assert components(g) == components_bfs(g)
+
+
+# ---------------------------------------------------------------------------
+# threshold sweep
+
+# a small value set makes ties between edges, and x_e == p, common
+_LEVELS = (0.125, 0.25, 0.5, 0.75)
+
+
+def _counts_from_stats(stats, n, big_thresh, mass_cutoff):
+    """The scan accumulators, computed from a full size list."""
+    sizes = stats.sizes
+    return (int(stats.connected), int(stats.isolated_count > 0),
+            int(any(big_thresh <= sz <= n / 2 for sz in sizes)),
+            int(stats.max_component >= big_thresh),
+            sum(1 for sz in sizes if sz > n / 2), stats.isolated_count,
+            stats.max_component, small_component_mass(stats, mass_cutoff),
+            sum(1 for sz in sizes if sz > n / 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 12),
+       grid=st.lists(st.sampled_from(_LEVELS + (0.3, 0.6)), min_size=1,
+                     max_size=6),
+       beta=st.sampled_from([1.1, 2.0]))
+def test_sweep_matches_bfs_per_threshold(data, n, grid, beta):
+    x = np.array(data.draw(st.lists(st.sampled_from(_LEVELS),
+                                    min_size=edge_count(n),
+                                    max_size=edge_count(n))))
+    # unsorted, with a repeat, one p below every x_e and one above every x_e
+    ps = grid + [0.05, grid[0], 0.95]
+    big_thresh = beta * math.log(n)
+    mass_cutoff = max(1, math.floor(big_thresh))
+    hists = threshold_sweep(x, n, ps)
+    assert len(hists) == len(ps)
+    for p, hist in zip(ps, hists):
+        truth = components_bfs(build_graph(x, n, p))
+        assert hist == truth.z_histogram
+        assert histogram_stats(n, hist) == truth
+        assert (_cell_counts(hist, n, big_thresh, mass_cutoff)
+                == _counts_from_stats(truth, n, big_thresh, mass_cutoff))
+
+
+def test_sweep_validation():
+    with pytest.raises(ValueError):
+        threshold_sweep(np.zeros(6), 4, [0.5, 1.0])
+    with pytest.raises(ValueError):
+        threshold_sweep(np.zeros(5), 4, [0.5])
+
+
+def test_pigeonhole_check_raises():
+    # two components of order > n/2 cannot exist; the check is not an assert,
+    # so it also holds under python -O
+    with pytest.raises(RuntimeError, match="pigeonhole"):
+        _cell_counts({3: 2}, 4, 2.0, 2)

@@ -157,6 +157,19 @@ def test_membership_down_closed():
         assert spec.membership(x) == "inside"
 
 
+@pytest.mark.parametrize("components", [
+    Power(a=0.5, q=3.0),                                # all columns: a view
+    [Power(1.0, 2.0), Linear(0.5), Power(0.7, 1.5)],    # fancy-indexed columns
+])
+def test_total_batch_matches_total_and_keeps_input(components):
+    spec = GobSpec(3, components)
+    X = np.random.default_rng(3).uniform(0, 0.4, size=(20, spec.dim))
+    before = X.copy()
+    batch = spec.total_batch(X)
+    assert np.array_equal(X, before)  # the in-place power must not write to X
+    assert batch == pytest.approx([spec.total(row) for row in X], rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # chords
 
