@@ -12,8 +12,7 @@ from .graph import (ComponentStats, ThresholdGraph, build_graph, components,
                     components_bfs, histogram_stats, small_component_mass,
                     threshold_sweep)
 from .orlicz import (Cap, ExponentialDecay, GobSpec, Indicator, Linear,
-                     PiecewiseLinearConvex, Power, PowerDecay, chord,
-                     eval_component, inverse_at_one, m_bound, membership)
+                     PiecewiseLinearConvex, Power, PowerDecay)
 from .rng import substream
 from .samplers import (SamplerConfig, ValidationReport, exact_twin,
                        hit_and_run, ks_critical, make_sampler, sample_cube,

@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 configuration error, 3 validation failure,
-4 I/O error.  Internal errors are not config errors: a broken invariant
-inside a run (a RuntimeError, such as two components of order > n/2 in
-one scan graph) is not caught here and ends the command with a traceback
-and exit status 1.
+4 I/O error.  Only a ConfigError (bad config file or command-line value)
+gives exit status 2.  Internal errors are not config errors: any other
+exception inside a run (a RuntimeError such as two components of order
+> n/2 in one scan graph, or a ValueError from a chord or a sampler) is
+not caught here and ends the command with a traceback and exit status 1.
 """
 
 import argparse
@@ -20,7 +21,7 @@ from .estimators import estimate_moments, nc_test
 from .experiments import (connectivity_scan, er_connectivity_oracle, giant_scan,
                           threshold_locator)
 from .report import emit_csv, emit_plotdata
-from .rng import substream
+from .rng import MAX_SEED, substream
 from .samplers import make_sampler, validate_sampler
 from .edges import edge_pairs
 
@@ -48,8 +49,10 @@ def _load(args, scan_mode="connectivity"):
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     cfg = parse_config(text, scan_mode=scan_mode)
-    seed = args.seed if args.seed is not None else cfg.sampler.seed
-    return cfg, int(seed)
+    seed = int(args.seed if args.seed is not None else cfg.sampler.seed)
+    if not 0 <= seed < MAX_SEED:
+        raise ConfigError(f"master seed must be a 64-bit unsigned int, got {seed}")
+    return cfg, seed
 
 
 def _write_manifest(out_dir, command, cfg, seed):
@@ -161,6 +164,9 @@ def _cmd_nc_test(args):
     n_configs = int(cfg.nc_test.get("configurations", 10))
     size_max = int(cfg.nc_test.get("set_size_max", 3))
     q_lo, q_hi = cfg.nc_test.get("quantile_range", [0.6, 0.95])
+    if not 1 <= size_max < spec.dim:
+        raise ConfigError(f"nc_test.set_size_max must lie in [1, {spec.dim - 1}], "
+                          f"got {size_max}")
 
     pilot = sampler(substream(seed, (_TAG_NC, 0)), 4000)
     reports = []
@@ -216,6 +222,16 @@ def _cmd_validate(args):
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
+def _int_at_least(low):
+    """argparse type: an int >= low (argparse exits 2 on anything else)."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gobgraph",
@@ -235,7 +251,7 @@ def build_parser():
 
     p = sub.add_parser("sample", help="draw edge vectors")
     common(p)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_int_at_least(0), default=100)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("scan-connectivity", help="connectivity-regime scan")
@@ -262,7 +278,7 @@ def build_parser():
     p = sub.add_parser("validate-sampler",
                        help="KS battery: hit-and-run vs exact sampler")
     common(p, out=False)
-    p.add_argument("--draws", type=int, default=8000)
+    p.add_argument("--draws", type=_int_at_least(1), default=8000)
     p.set_defaults(func=_cmd_validate)
 
     return parser
@@ -279,9 +295,6 @@ def main(argv=None):
     except ValidationFailure as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

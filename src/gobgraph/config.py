@@ -12,14 +12,11 @@ from dataclasses import dataclass, field
 
 import yaml
 
+from .errors import ConfigError
 from .experiments import ScanConfig
 from .orlicz import (Cap, ExponentialDecay, GobSpec, Indicator, Linear,
                      PiecewiseLinearConvex, PowerDecay, Power)
 from .samplers import SamplerConfig
-
-
-class ConfigError(Exception):
-    """Schema or invariant violation in a configuration file."""
 
 
 _TOP_KEYS = {"model", "sampler", "scan", "nc_test", "moments"}
@@ -203,19 +200,16 @@ def build_spec(model, n=None):
         if model.component is not None:
             comp = _parse_component("model.component", model.component)
             return GobSpec(n, comp, radial_density=radial)
-        comps = [
-            _parse_component(f"model.components[{i}]", c)
-            for i, c in enumerate(per_edge_raw(model.components, d))
-        ]
+        if len(model.components) != d:
+            raise ConfigError(f"model.components: expected {d} entries for n={n}, "
+                              f"got {len(model.components)}")
+        comps = [_parse_component(f"model.components[{i}]", c)
+                 for i, c in enumerate(model.components)]
         return GobSpec(n, comps, radial_density=radial)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
-
-
-def per_edge_raw(values, d):
-    if len(values) != d:
-        raise ConfigError(f"model.components: expected {d} entries, got {len(values)}")
-    return values
 
 
 _DEFAULT_METHODS = {
@@ -230,14 +224,10 @@ def _parse_sampler(data, family):
     data = data or {}
     _check_keys("sampler", data, _SAMPLER_KEYS)
     method = data.get("method", _DEFAULT_METHODS[family])
+    # keys left out take SamplerConfig's defaults
+    schedule = {k: data[k] for k in ("burn_in", "thinning", "start") if k in data}
     try:
-        return SamplerConfig(
-            method=method,
-            seed=int(data.get("seed", 0)),
-            burn_in=data.get("burn_in"),
-            thinning=data.get("thinning"),
-            start=data.get("start", "origin_nudge"),
-        )
+        return SamplerConfig(method=method, seed=int(data.get("seed", 0)), **schedule)
     except ValueError as exc:
         raise ConfigError(f"sampler: {exc}") from exc
 
@@ -274,11 +264,24 @@ def _parse_scan(data, mode="connectivity"):
 
 
 def parse_config(text, scan_mode="connectivity"):
-    """Parse and validate a YAML configuration document."""
+    """Parse and validate a YAML configuration document.
+
+    Every value in it is user input, so a ValueError raised while parsing
+    (say, int() of a non-number) is reported as a ConfigError.
+    """
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"not valid YAML: {exc}") from exc
+    try:
+        return _parse(raw, scan_mode)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _parse(raw, scan_mode):
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a mapping")
     _check_keys("<top level>", raw, _TOP_KEYS)
@@ -292,6 +295,16 @@ def parse_config(text, scan_mode="connectivity"):
     _check_keys("nc_test", nc, _NC_KEYS)
     mom = raw.get("moments") or {}
     _check_keys("moments", mom, _MOMENT_KEYS)
+    # the commands convert these later; a bad value fails here instead
+    for mapping in (nc, mom):
+        for key in ("reps", "configurations", "set_size_max"):
+            if key in mapping:
+                int(mapping[key])
+    if "quantile_range" in nc:
+        q_lo, q_hi = (float(q) for q in nc["quantile_range"])
+        if not 0.0 <= q_lo < q_hi <= 1.0:
+            raise ConfigError("nc_test.quantile_range must be [lo, hi] with "
+                              "0 <= lo < hi <= 1")
 
     # exercise spec construction now so invariant errors surface early
     n_list = _n_list(raw, model, scan)

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def wilson_interval(successes, trials, z=1.96):
     """Wilson score interval for a binomial proportion."""
@@ -46,7 +48,7 @@ def estimate_moments(sampler, stream, reps):
     std(x, ddof=1)/sqrt(reps).
     """
     if reps < 1000:
-        raise ValueError(f"need reps >= 1000, got {reps}")
+        raise ConfigError(f"need reps >= 1000, got {reps}")
     X = np.asarray(sampler(stream, reps), dtype=float)
     sq = X * X
     m = sq.mean(axis=0)
@@ -96,7 +98,7 @@ def nc_test(sampler, stream, I, J, s, t, reps):
     if set(I) & set(J):
         raise ValueError(f"index sets must be disjoint, overlap {set(I) & set(J)}")
     if reps < 10_000:
-        raise ValueError(f"need reps >= 1e4, got {reps}")
+        raise ConfigError(f"need reps >= 1e4, got {reps}")
     s = np.broadcast_to(np.asarray(s, dtype=float), (len(I),))
     t = np.broadcast_to(np.asarray(t, dtype=float), (len(J),))
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import ConfigError
 from .estimators import wilson_interval
 from .graph import threshold_sweep
 # not called here, but kept bound: the benchmark's tracer (perfbench/child.py)
@@ -67,10 +68,14 @@ class ScanRow:
     p_mid_component_lo: float
     p_mid_component_hi: float
     small_mass_frac: float
-    # exploratory / diagnostic fields, not part of the CSV schema
-    p_big_component: float = 0.0   # P(exists component of order >= beta log n)
-    p_giant: float = 0.0           # P(max component > n/2)
-    mean_over_quarter: float = 0.0  # mean number of components of order > n/4
+    # exploratory / diagnostic fields, not part of the CSV schema: the
+    # CSV columns (report.CSV_HEADER) are the fields not marked csv=False
+    # P(exists component of order >= beta log n)
+    p_big_component: float = field(default=0.0, metadata={"csv": False})
+    # P(max component > n/2)
+    p_giant: float = field(default=0.0, metadata={"csv": False})
+    # mean number of components of order > n/4
+    mean_over_quarter: float = field(default=0.0, metadata={"csv": False})
 
 
 @dataclass
@@ -91,7 +96,7 @@ def resolve_grid(cfg, n, sigma_hat):
         ps = [g * scale for g in cfg.gammas]
     for p in ps:
         if not 0.0 < p < 1.0:
-            raise ValueError(f"grid produced p={p} outside (0, 1) at n={n}")
+            raise ConfigError(f"grid produced p={p} outside (0, 1) at n={n}")
     return ps
 
 
@@ -248,9 +253,9 @@ def er_connectivity_oracle(n, p):
     in exact rational arithmetic on the binary value of p.
     """
     if not 2 <= n <= 12:
-        raise ValueError(f"oracle supports 2 <= n <= 12, got {n}")
+        raise ConfigError(f"oracle supports 2 <= n <= 12, got {n}")
     if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+        raise ConfigError(f"p must lie in [0, 1], got {p}")
     q = 1 - Fraction(p)
     P = [None] * (n + 1)
     P[1] = Fraction(1)

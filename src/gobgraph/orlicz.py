@@ -2,7 +2,11 @@
 
 A ball is the set {x >= 0 : sum_e f_e(x_e) <= 1} for convex nondecreasing
 components f_e with f_e(0) = 0.  Geometric queries (membership, chords,
-per-coordinate extents) back the samplers and experiments.
+per-coordinate extents) back the samplers and experiments.  The sum G and
+its directional slope are evaluated by component kind in one grouped pass
+(`GobSpec.total`, `GobSpec.total_and_slope`); chord endpoints come from a
+closed form when G is affine along lines and from Newton's method on the
+convex map t -> G(x + t*u) otherwise.
 """
 
 import math
@@ -15,6 +19,7 @@ INF = math.inf
 
 MEMBERSHIP_TOL = 1e-12
 CHORD_TOL = 1e-10
+NEWTON_STEPS = 100  # cap on Newton iterations per chord endpoint
 
 
 def _check_nonneg(t):
@@ -137,6 +142,12 @@ class PiecewiseLinearConvex:
             )
         return out if out.ndim else float(out)
 
+    def slope(self, t):
+        """Right-hand slope at a scalar t >= 0 (the final slope beyond the
+        last breakpoint)."""
+        k = int(np.searchsorted(self._t, t, side="right")) - 1
+        return float(self._slopes[min(k, len(self._slopes) - 1)])
+
     def inverse_at_one(self):
         return self.inverse_at(1.0)
 
@@ -156,16 +167,6 @@ class PiecewiseLinearConvex:
     def __repr__(self):
         pts = list(zip(self._t.tolist(), self._v.tolist()))
         return f"PiecewiseLinearConvex({pts})"
-
-
-def eval_component(f, t):
-    """Evaluate a component at t >= 0 (+inf is a legal value)."""
-    return f.value(t)
-
-
-def inverse_at_one(f):
-    """The extent sup{t > 0 : f(t) <= 1} of a component."""
-    return f.inverse_at_one()
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +279,9 @@ class GobSpec:
         if powr:
             self._pow_inv = 1.0 / np.array([self.components[k].a for k in powr])
             self._pow_q = np.array([self.components[k].q for k in powr])
+            # d/dy (y/a)^q = (q/a) (y/a)^(q-1)
+            self._pow_q1 = self._pow_q - 1.0
+            self._pow_dinv = self._pow_q * self._pow_inv
         self._cap_idx = pack(cap) if cap else None
         if cap:
             self._cap_a = np.array([self.components[k].a for k in cap])
@@ -298,17 +302,37 @@ class GobSpec:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected shape ({self.dim},), got {x.shape}")
-        s = 0.0
         if self._cap_idx is not None:
             if np.any(x[self._cap_idx] > self._cap_a):
                 return INF
+        return self.total_and_slope(x)[0]
+
+    def total_and_slope(self, y, v=None):
+        """G(y) = sum_e f_e(y_e), and the slope of t -> G(y + t*v) at t = 0.
+
+        One grouped pass per component kind.  The slope of each term is
+        v_e times: 1/a (Linear), q/a (y/a)^(q-1) (Power), the right-hand
+        segment slope (PWL) and 0 (Cap); the sum is a subgradient of the
+        convex map t -> G(y + t*v).  Caps are not checked: y must lie in
+        the orthant and inside every cap, where a cap adds 0.  The slope is
+        0.0 when v is None.
+        """
+        g = slope = 0.0
         if self._lin_idx is not None:
-            s += float(x[self._lin_idx] @ self._lin_inv)
+            g += float(y[self._lin_idx] @ self._lin_inv)
+            if v is not None:
+                slope += float(v[self._lin_idx] @ self._lin_inv)
         if self._pow_idx is not None:
-            s += float(np.sum((x[self._pow_idx] * self._pow_inv) ** self._pow_q))
+            z = y[self._pow_idx] * self._pow_inv
+            zq1 = z ** self._pow_q1
+            g += float(z @ zq1)
+            if v is not None:
+                slope += float((v[self._pow_idx] * self._pow_dinv) @ zq1)
         for k, c in self._pwl:
-            s += float(c.value(x[k]))
-        return s
+            g += float(c.value(y[k]))
+            if v is not None:
+                slope += c.slope(y[k]) * float(v[k])
+        return g, slope
 
     def total_batch(self, X):
         """sum_e f_e(x_e) for each row of an (m, dim) array."""
@@ -356,19 +380,19 @@ class GobSpec:
             return False
         return self.total(x) < 1.0 - margin
 
-    def _feasible(self, y):
-        if np.any(y < -MEMBERSHIP_TOL):
-            return False
-        if np.any(y > self.a + MEMBERSHIP_TOL):
-            return False
-        return self.total(np.clip(y, 0.0, None)) <= 1.0 + MEMBERSHIP_TOL
-
     def chord(self, x, u, tol=CHORD_TOL):
         """Maximal interval [t_lo, t_hi] with x + t*u inside ball and orthant.
 
         Requires x strictly interior; then t_lo < 0 < t_hi.  Endpoints are
-        exact when all non-cap components are linear, else located by
-        bisection on the convex map t -> sum f_e((x + t*u)_e).
+        exact when all non-cap components are linear.  Otherwise each one is
+        found by Newton's method on phi(t) = G(x + t*u) - 1, started at the
+        far end of the coordinate box [0, a], which brackets the ball: phi
+        is convex, so from a point where phi > 0 the iterates fall
+        monotonically to the root without passing it, and need no
+        bisection fallback.  Iteration stops after the first step of at
+        most `tol`; Newton's quadratic convergence leaves the endpoint far
+        closer to the boundary than that.  A search that has not converged
+        after NEWTON_STEPS iterations raises RuntimeError.
         """
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
@@ -388,7 +412,7 @@ class GobSpec:
 
     def _ray_limit(self, x, v, tol, linear_only, g0):
         # coordinate box [0, a] bounds the ball, so it brackets the endpoint
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             pos = v > 0
             neg = v < 0
             hi = INF
@@ -407,25 +431,20 @@ class GobSpec:
                 hi = min(hi, (1.0 - g0) / slope)
             return max(hi, 0.0)
 
-        if self._feasible(x + hi * v):
-            return hi
-        lo = 0.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if self._feasible(x + mid * v):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-
-def membership(spec, x):
-    return spec.membership(x)
-
-
-def chord(spec, x, u, tol=CHORD_TOL):
-    return spec.chord(x, u, tol=tol)
-
-
-def m_bound(spec):
-    return spec.m_bound()
+        t = hi
+        for _ in range(NEWTON_STEPS):
+            y = x + t * v
+            np.maximum(y, 0.0, out=y)
+            g, slope = self.total_and_slope(y, v)
+            excess = g - 1.0
+            if excess <= 0.0:
+                return t
+            if not slope > 0.0:
+                break  # impossible for convex G with G(x) < 1, unless G(y) is nan
+            step = excess / slope
+            t -= step
+            if step <= tol:
+                return t
+        raise RuntimeError(
+            f"Newton chord search did not converge in {NEWTON_STEPS} steps "
+            f"(t={t!r}, G-1={excess!r}, slope={slope!r})")

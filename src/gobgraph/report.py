@@ -1,15 +1,14 @@
 """CSV and plot-data emission for scan results."""
 
 import os
+from dataclasses import fields
 
-CSV_HEADER = (
-    "n,p,replicates,p_connected,p_connected_lo,p_connected_hi,"
-    "p_has_isolated,p_has_isolated_lo,p_has_isolated_hi,mean_isolated,"
-    "mean_giant_frac,p_mid_component,p_mid_component_lo,p_mid_component_hi,"
-    "small_mass_frac"
-)
+from .experiments import ScanRow
 
-_CSV_FIELDS = CSV_HEADER.split(",")
+# the CSV columns are the ScanRow fields, in declaration order, minus the
+# diagnostic ones marked csv=False
+_CSV_FIELDS = tuple(f.name for f in fields(ScanRow) if f.metadata.get("csv", True))
+CSV_HEADER = ",".join(_CSV_FIELDS)
 
 # metric name -> (estimate, lo, hi) row attributes
 PLOT_METRICS = {

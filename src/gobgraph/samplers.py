@@ -3,7 +3,10 @@
 Exact samplers cover the cube (all-Cap), simplex (all-Linear) and
 scaled l_q orthant (all-Power) special cases; hit-and-run covers the
 general ball, including radial densities h(sum f_e(x_e)) restricted to
-the ball.
+the ball.  Each hit-and-run step finds its chord with `GobSpec.chord`
+(closed form, or Newton's method) and draws the point on it exactly:
+uniformly under the Indicator density, by rejection from the uniform
+law otherwise.
 """
 
 from dataclasses import dataclass
@@ -12,8 +15,6 @@ import numpy as np
 
 from .edges import edge_count
 from .orlicz import Cap, GobSpec, Indicator, Linear, Power
-
-_CHORD_GRID = 1025
 
 
 @dataclass
@@ -28,7 +29,7 @@ class SamplerConfig:
     seed: int = 0
     burn_in: int | None = None
     thinning: int | None = None
-    start: str = "origin_nudge"
+    start: str = "analytic_center"
 
     _METHODS = ("exact_cube", "exact_simplex", "exact_lq", "hit_and_run")
     _STARTS = ("origin_nudge", "analytic_center")
@@ -59,15 +60,19 @@ def sample_simplex(n, coeffs, stream, count=1):
     """Exact uniform draws on {x >= 0 : sum_e coeffs_e * x_e <= 1}.
 
     Exponential spacings: with E_1..E_{d+1} iid standard exponential,
-    (E_1, .., E_d)/sum is uniform on the unit simplex.
+    (E_1, .., E_d)/sum is uniform on the unit simplex.  Both divisions
+    run in place, so the result is a view into the (count, d+1) draw and
+    no second array of that size is made.
     """
     d = edge_count(n)
     coeffs = np.asarray(coeffs, dtype=float)
     if np.any(coeffs <= 0):
         raise ValueError("simplex coefficients must be positive")
     e = stream.standard_exponential((count, d + 1))
-    y = e[:, :d] / e.sum(axis=1, keepdims=True)
-    return y / coeffs
+    y = e[:, :d]
+    y /= e.sum(axis=1, keepdims=True)
+    y /= coeffs
+    return y
 
 
 def sample_lq_orthant(n, q, scales, stream, count=1):
@@ -103,13 +108,14 @@ def sample_shared_scale(n, stream, count=1):
     return np.minimum(1.0, z * u)
 
 
-def start_point(spec, mode="origin_nudge"):
+def start_point(spec, mode):
     """A guaranteed strictly interior point of the ball.
 
     origin_nudge: x_e = a_e/(2d); convexity and f(0)=0 give
     sum f_e(a_e/(2d)) <= d * (1/(2d)) = 1/2.
     analytic_center: x_e = 0.5 * sup{t : f_e(t) <= 1/(2d)}, which sits
-    nearer the middle of boxes and mixed bodies.
+    nearer the middle of boxes and mixed bodies, so chains started there
+    need less burn-in.
     """
     d = spec.dim
     if mode == "origin_nudge":
@@ -120,23 +126,24 @@ def start_point(spec, mode="origin_nudge"):
     raise ValueError(f"unknown start mode {mode!r}")
 
 
-def _draw_on_chord(spec, x, u, t_lo, t_hi, stream, grid):
-    """Inverse-CDF draw from density prop. to h(sum f(x + t*u)) on the chord.
+def _draw_on_chord(spec, x, u, t_lo, t_hi, stream):
+    """Exact draw of t from the density prop. to h(G(x + t*u)) on the chord.
 
-    `grid` is a (_CHORD_GRID, dim) work array that the caller reuses on
-    every step: allocating and freeing arrays this size each step makes
-    the C allocator hand the pages back and fault them in again.
+    Rejection from the uniform law on [t_lo, t_hi] (Devroye, Non-Uniform
+    Random Variate Generation, 1986, ch. VII).  G is convex along the
+    line, so it lies above its tangent at t = 0 and above 0; with
+    l = max(0, min of that tangent over the chord), every nonincreasing h
+    has h(G(x + t*u)) <= h(l), and a proposal t is accepted with
+    probability h(G(x + t*u)) / h(l).  x is strictly interior, so
+    G(x) < 1 and h(l) > 0 for both ExponentialDecay and PowerDecay.
     """
-    ts = np.linspace(t_lo, t_hi, _CHORD_GRID)
-    Y = np.multiply.outer(ts, u, out=grid)
-    Y += x
-    np.clip(Y, 0.0, None, out=Y)
-    w = spec.radial_density.weight(spec.total_batch(Y))
-    dt = ts[1] - ts[0]
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * dt)])
-    if cdf[-1] <= 0.0:
-        return stream.uniform(t_lo, t_hi)
-    return float(np.interp(stream.random() * cdf[-1], cdf, ts))
+    h = spec.radial_density.weight
+    g0, slope = spec.total_and_slope(x, u)
+    h_max = h(max(0.0, g0 + min(slope * t_lo, slope * t_hi)))
+    while True:
+        t = stream.uniform(t_lo, t_hi)
+        if stream.random() * h_max < h(spec.total(np.maximum(x + t * u, 0.0))):
+            return t
 
 
 def hit_and_run(spec, cfg, stream, count):
@@ -144,7 +151,8 @@ def hit_and_run(spec, cfg, stream, count):
 
     With an Indicator radial density the stationary law is uniform on the
     ball intersected with the orthant; otherwise the chord coordinate is
-    drawn from the one-dimensional density prop. to h(sum f_e(.)).
+    drawn exactly from the one-dimensional density prop. to
+    h(sum f_e(.)) by `_draw_on_chord`.
     """
     d = spec.dim
     burn, thin = cfg.resolved_schedule(d)
@@ -154,7 +162,6 @@ def hit_and_run(spec, cfg, stream, count):
     if uniform_chord and linear_only:
         return _hit_and_run_linear(spec, x, stream, count, burn, thin)
     out = np.empty((count, d))
-    grid = None if uniform_chord else np.empty((_CHORD_GRID, d))
     k = 0
     total_steps = burn + count * thin
     for step in range(total_steps):
@@ -164,7 +171,7 @@ def hit_and_run(spec, cfg, stream, count):
         if uniform_chord:
             t = stream.uniform(t_lo, t_hi)
         else:
-            t = _draw_on_chord(spec, x, u, t_lo, t_hi, stream, grid)
+            t = _draw_on_chord(spec, x, u, t_lo, t_hi, stream)
         x = np.clip(x + t * u, 0.0, None)
         if step >= burn and (step - burn) % thin == thin - 1:
             out[k] = x

@@ -325,6 +325,62 @@ def test_cli_exit_codes(tmp_path):
     blocker.write_text("")
     assert main(["sample", "--config", ok, "--out", str(blocker)]) == 4
 
+    # user input found bad only once a command runs is still a config error
+    assert main(["oracle-er", "--n", "20", "--p", "0.5"]) == 2
+    assert main(["sample", "--config", ok, "--out", str(tmp_path / "o"),
+                 "--seed", "-1"]) == 2
+    few_reps = _write_cfg(tmp_path, """\
+        model: {family: cube, n: 5}
+        moments: {reps: 999}
+    """)
+    assert main(["moments", "--config", few_reps, "--out", str(tmp_path / "o")]) == 2
+    p_above_one = _write_cfg(tmp_path, """\
+        model: {family: cube}
+        scan:
+          n_list: [5]
+          replicates: 30
+          grid: {kind: explicit, values: [1.5]}
+    """)
+    assert main(["scan-connectivity", "--config", p_above_one,
+                 "--out", str(tmp_path / "o")]) == 2
+    bad_range = _write_cfg(tmp_path, """\
+        model: {family: cube, n: 5}
+        nc_test: {quantile_range: [0.9, 0.5]}
+    """)
+    assert main(["nc-test", "--config", bad_range, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_internal_value_error_exits_1(tmp_path):
+    # a ValueError raised inside a scan is an internal error: it ends the
+    # command with a traceback and exit status 1, not the config-error 2
+    cfg = _write_cfg(tmp_path, """\
+        model:
+          family: gob
+          component: {kind: power, a: 1.0, q: 2.0}
+          radial_density: {kind: exponential, rate: 1.5}
+        sampler: {burn_in: 10, thinning: 2}
+        scan:
+          n_list: [4]
+          replicates: 30
+          pilot_draws: 10
+          grid: {kind: gamma, gammas: [1.0]}
+    """)
+    argv = ["scan-connectivity", "--config", cfg, "--out", str(tmp_path / "o")]
+    code = textwrap.dedent(f"""\
+        import sys
+        from gobgraph import cli, orlicz
+        def chord(self, x, u, tol=None):
+            raise ValueError("injected chord failure")
+        orlicz.GobSpec.chord = chord
+        sys.exit(cli.main({argv!r}))
+    """)
+    src = str(Path(gobgraph.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1
+    assert "ValueError: injected chord failure" in proc.stderr
+    assert "config error" not in proc.stderr
+
 
 def test_cli_import_leaves_scipy_stats_out():
     # scipy.stats costs about a second of start-up; only validate_sampler

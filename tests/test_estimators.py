@@ -5,6 +5,7 @@ from scipy import integrate
 from gobgraph import (GobSpec, Linear, Power, SamplerConfig, estimate_moments,
                       make_sampler, marginal_bound_check, nc_test,
                       sample_shared_scale, substream, wilson_interval)
+from gobgraph.config import ConfigError
 
 
 def _stream(key):
@@ -76,7 +77,7 @@ def test_moments_identifies_extreme_edges():
 
 def test_moments_validation():
     sampler = _simplex_sampler()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         estimate_moments(sampler, _stream(3), 999)
     constant = lambda stream, count: np.full((count, 3), 0.25)
     with pytest.raises(ValueError):
@@ -92,7 +93,7 @@ def test_nc_test_validation():
         nc_test(sampler, _stream(5), (0, 1), (1, 2), 0.2, 0.2, 20_000)  # overlap
     with pytest.raises(ValueError):
         nc_test(sampler, _stream(5), (), (1,), 0.2, 0.2, 20_000)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         nc_test(sampler, _stream(5), (0,), (1,), 0.2, 0.2, 9_999)
 
 

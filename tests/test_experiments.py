@@ -7,6 +7,7 @@ import pytest
 from gobgraph import (Cap, GobSpec, Linear, SamplerConfig, ScanConfig, ScanRow,
                       ScanResult, connectivity_scan, er_connectivity_oracle,
                       giant_scan, resolve_grid, run_scan, threshold_locator)
+from gobgraph.config import ConfigError
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +94,7 @@ def test_resolve_grid_modes():
     assert resolve_grid(explicit, 100, sigma_hat=None) == [0.3, 0.1]
 
     bad = ScanConfig(mode="giant", gammas=(200.0,), sigma_normalized=False)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         resolve_grid(bad, 100, sigma_hat=None)
 
 

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from gobgraph import (Cap, GobSpec, Linear, PiecewiseLinearConvex, Power,
-                      eval_component, inverse_at_one)
+from gobgraph import Cap, GobSpec, Linear, PiecewiseLinearConvex, Power, orlicz
 
 INF = math.inf
 
@@ -13,15 +14,15 @@ INF = math.inf
 # component evaluation
 
 def test_eval_power():
-    assert eval_component(Power(a=2, q=3), 2.0) == pytest.approx(1.0)
+    assert Power(a=2, q=3).value(2.0) == pytest.approx(1.0)
 
 
 def test_eval_linear_zero():
-    assert eval_component(Linear(a=0.5), 0.0) == 0.0
+    assert Linear(a=0.5).value(0.0) == 0.0
 
 
 def test_eval_cap_beyond():
-    assert eval_component(Cap(a=1.0), 1.5) == INF
+    assert Cap(a=1.0).value(1.5) == INF
 
 
 def test_eval_negative_rejected():
@@ -64,9 +65,9 @@ def test_pwl_value_and_extrapolation():
 # inverse_at_one
 
 def test_inverse_at_one_exact_kinds():
-    assert inverse_at_one(Power(a=2, q=3)) == 2.0
-    assert inverse_at_one(Linear(a=0.5)) == 0.5
-    assert inverse_at_one(Cap(a=1.0)) == 1.0
+    assert Power(a=2, q=3).inverse_at_one() == 2.0
+    assert Linear(a=0.5).inverse_at_one() == 0.5
+    assert Cap(a=1.0).inverse_at_one() == 1.0
 
 
 def _bisect_inverse(f, lo=0.0, hi=1e6, tol=1e-13):
@@ -92,11 +93,11 @@ def test_inverse_at_one_matches_bisection(f):
 def test_inverse_scaling_law():
     # replacing f(t) by f(t/s) multiplies the extent by s
     for s in (0.5, 2.0, 7.0):
-        assert inverse_at_one(Linear(a=1.3 * s)) == pytest.approx(1.3 * s)
-        assert inverse_at_one(Power(a=1.3 * s, q=3)) == pytest.approx(
-            s * inverse_at_one(Power(a=1.3, q=3)))
-        assert inverse_at_one(Cap(a=0.4 * s)) == pytest.approx(
-            s * inverse_at_one(Cap(a=0.4)))
+        assert Linear(a=1.3 * s).inverse_at_one() == pytest.approx(1.3 * s)
+        assert Power(a=1.3 * s, q=3).inverse_at_one() == pytest.approx(
+            s * Power(a=1.3, q=3).inverse_at_one())
+        assert Cap(a=0.4 * s).inverse_at_one() == pytest.approx(
+            s * Cap(a=0.4).inverse_at_one())
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +256,76 @@ def test_chord_endpoints_property(spec):
             outside = np.any(y < 0) or spec.membership(np.clip(y, 0, None)) == "outside"
             # endpoint may coincide with a numerically flat boundary face
             assert outside or spec.membership(np.clip(y, 0, None)) == "boundary"
+
+
+def _pwl_from_segments(segments):
+    # (width, slope) pairs; sorting the slopes makes the graph convex
+    slopes = sorted(slope for _, slope in segments)
+    slopes[-1] += 0.1  # a positive final slope keeps the extent finite
+    pts, t, v = [(0.0, 0.0)], 0.0, 0.0
+    for (width, _), slope in zip(segments, slopes):
+        t, v = t + width, v + width * slope
+        pts.append((t, v))
+    return PiecewiseLinearConvex(pts)
+
+
+_scale = st.floats(0.2, 2.0)
+_components = st.one_of(
+    st.builds(Linear, _scale),
+    st.builds(Power, _scale, st.floats(1.0, 4.0)),
+    st.builds(Cap, _scale),
+    st.builds(_pwl_from_segments,
+              st.lists(st.tuples(st.floats(0.05, 1.0), st.floats(0.0, 3.0)),
+                       min_size=1, max_size=4)),
+)
+
+
+def _bisect_ray(spec, x, v, tol=1e-14):
+    # independent oracle: sup{t >= 0 : x + t*v in the box and the ball}
+    def feasible(t):
+        y = x + t * v
+        return (np.all(y >= 0) and np.all(y <= spec.a)
+                and spec.total(y) <= 1.0)
+    lo, hi = 0.0, float(np.linalg.norm(spec.a)) + 1.0  # past the box
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.sampled_from([3, 4]),
+       frac=st.floats(0.05, 0.95))
+def test_chord_newton_matches_bisection(data, n, frac):
+    d = n * (n - 1) // 2
+    comps = data.draw(st.lists(_components, min_size=d, max_size=d))
+    if all(isinstance(c, (Linear, Cap)) for c in comps):
+        comps[0] = Power(1.0, 2.0)  # so the Newton path runs
+    spec = GobSpec(n, comps)
+    w = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d)))
+    # scale w * a to the boundary along its ray, then back inside by frac
+    x = frac * _bisect_ray(spec, np.zeros(d), w * spec.a) * w * spec.a
+    u = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+    assume(np.linalg.norm(u) > 1e-3)
+    u /= np.linalg.norm(u)
+    assert spec.strictly_inside(x)
+    t_lo, t_hi = spec.chord(x, u)
+    assert t_hi == pytest.approx(_bisect_ray(spec, x, u), abs=1e-9)
+    assert t_lo == pytest.approx(-_bisect_ray(spec, x, -u), abs=1e-9)
+
+
+def test_chord_newton_cap_raises(monkeypatch):
+    # an endpoint Newton has not reached within its cap is an error
+    spec = GobSpec(3, Power(1.0, 2.0))
+    x, u = np.full(3, 0.2), np.ones(3) / math.sqrt(3)
+    monkeypatch.setattr(orlicz, "NEWTON_STEPS", 1)
+    with pytest.raises(RuntimeError, match="Newton"):
+        spec.chord(x, u)
+    monkeypatch.setattr(orlicz, "NEWTON_STEPS", 100)
+    assert spec.chord(x, u)[1] == pytest.approx(1.0 - 0.2 * math.sqrt(3))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from gobgraph import (Cap, ExponentialDecay, GobSpec, Linear, PowerDecay,
                       Power, SamplerConfig, exact_twin, hit_and_run,
                       ks_critical, make_sampler, sample_cube, sample_lq_orthant,
                       sample_shared_scale, sample_simplex, start_point,
                       substream, validate_sampler)
+from gobgraph.samplers import _draw_on_chord
 
 
 def _stream(key=0):
@@ -166,6 +167,36 @@ def test_hit_and_run_power_decay_radial_1d():
     emp = np.array([(X <= g).mean() for g in grid])
     exact = 1 - (1 - grid) ** 3
     assert np.max(np.abs(emp - exact)) < 0.015
+
+
+@pytest.mark.parametrize("density", [ExponentialDecay(3.0), PowerDecay(4.0)])
+def test_draw_on_chord_matches_integrated_cdf(density):
+    # one fixed chord through a point where h(G) varies strongly along it
+    spec = GobSpec(3, Power(a=1.0, q=2.0), radial_density=density)
+    x = np.array([0.3, 0.45, 0.2])
+    u = np.array([1.0, -0.5, 0.8])
+    u /= np.linalg.norm(u)
+    t_lo, t_hi = spec.chord(x, u)
+    ts = np.linspace(t_lo, t_hi, 20001)
+    w = density.weight(spec.total_batch(np.clip(x + np.outer(ts, u), 0.0, None)))
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]))])
+    cdf /= cdf[-1]
+    stream = _stream(17)
+    draws = [_draw_on_chord(spec, x, u, t_lo, t_hi, stream) for _ in range(5000)]
+    assert stats.kstest(draws, lambda t: np.interp(t, ts, cdf)).pvalue > 1e-3
+
+
+def test_hit_and_run_radial_law_of_g():
+    # power q = 2 with h(u) = exp(-1.5 u) at n = 6: G(X) has density
+    # prop. to u^(d/2 - 1) exp(-1.5 u) on [0, 1], a truncated gamma law
+    n, rate = 6, 1.5
+    spec = GobSpec(n, Power(a=1.0, q=2.0), radial_density=ExponentialDecay(rate))
+    shape = spec.dim / 2.0
+    cfg = SamplerConfig(method="hit_and_run", burn_in=150, thinning=1)
+    G = [spec.total(hit_and_run(spec, cfg, _stream((18, k)), 1)[0])
+         for k in range(200)]  # independent chains, one draw each
+    cdf = lambda g: special.gammainc(shape, rate * g) / special.gammainc(shape, rate)
+    assert stats.kstest(G, cdf).pvalue > 1e-3
 
 
 def test_schedule_defaults_and_validation():
