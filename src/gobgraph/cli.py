@@ -9,6 +9,7 @@ not caught here and ends the command with a traceback and exit status 1.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -55,13 +56,27 @@ def _load(args, scan_mode="connectivity"):
     return cfg, seed
 
 
-def _write_manifest(out_dir, command, cfg, seed):
+def _versions():
+    """Library versions that fix a run's draws and statistics."""
+    import platform
+    import scipy  # not at module top: only the manifest needs its version
+    from . import __version__
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "gobgraph": __version__}
+
+
+def _write_manifest(out_dir, command, cfg, seed, run=None):
+    """Write manifest.json: the config and its hash, the library versions,
+    and what the run found (`run`, e.g. a scan's sigma-hats); none of the
+    run record enters the config hash."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "command": command,
         "master_seed": seed,
         "config_hash": config_hash(cfg, seed),
         "config": cfgmod.normalized(cfg),
+        "versions": _versions(),
+        **(run or {}),
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -77,22 +92,26 @@ def _single_spec(cfg):
     return build_spec(cfg.model, ns[0])
 
 
-def _maybe_validate(cfg, spec, seed, force):
-    """Gate hit-and-run scans on the exact-vs-MCMC KS battery."""
+def _maybe_validate(cfg, spec, seed, force, index):
+    """Gate a hit-and-run scan at one n on the exact-vs-MCMC KS battery.
+
+    The spec at position `index` of the scan draws from the validation
+    streams 2*index and 2*index + 1."""
     if cfg.sampler.method != "hit_and_run":
         return None
-    pair = (substream(seed, (_TAG_VALIDATE, 0)), substream(seed, (_TAG_VALIDATE, 1)))
+    pair = (substream(seed, (_TAG_VALIDATE, 2 * index)),
+            substream(seed, (_TAG_VALIDATE, 2 * index + 1)))
     report = validate_sampler(spec, cfg.sampler, pair, draws=4000)
     if report.ok is None:
-        print(f"validate-sampler: skipped ({report.reason})")
+        print(f"validate-sampler n={spec.n}: skipped ({report.reason})")
         return report
     status = "ok" if report.ok else "FAILED"
-    print(f"validate-sampler: {status} (max KS {report.max_ks:.4f}, "
+    print(f"validate-sampler n={spec.n}: {status} (max KS {report.max_ks:.4f}, "
           f"critical {report.critical:.4f})")
     if not report.ok and not force:
         raise ValidationFailure(
-            "hit-and-run schedule failed the KS battery; rerun with --force "
-            "to scan anyway")
+            f"hit-and-run schedule failed the KS battery at n={spec.n}; rerun "
+            "with --force to scan anyway")
     return report
 
 
@@ -118,15 +137,25 @@ def _run_scan(args, mode):
     if cfg.scan is None:
         raise ConfigError("section 'scan' is required for scan commands")
     specs = [build_spec(cfg.model, n) for n in n_list(cfg)]
-    _maybe_validate(cfg, specs[0], seed, args.force)
+    verdicts = []
+    for k, spec in enumerate(specs):
+        report = _maybe_validate(cfg, spec, seed, args.force, k)
+        if report is not None:
+            verdicts.append({"n": spec.n, "ok": report.ok, "reason": report.reason,
+                             "max_ks": report.max_ks, "critical": report.critical})
     runner = connectivity_scan if mode == "connectivity" else giant_scan
     result = runner(specs, cfg.sampler, cfg.scan, seed, workers=args.workers)
-    _write_manifest(args.out, f"scan-{mode}", cfg, seed)
+    metric = "p_connected" if mode == "connectivity" else "p_giant"
+    crossings = threshold_locator(result, metric=metric)
+    _write_manifest(args.out, f"scan-{mode}", cfg, seed, run={
+        "sigma_hat": {str(n): s for n, s in result.meta["sigma_hat"].items()},
+        "validation": verdicts,
+        "crossings": [dataclasses.asdict(c) for c in crossings],
+    })
     csv_path = os.path.join(args.out, f"scan_{mode}.csv")
     emit_csv(result, csv_path)
     emit_plotdata(result, args.out, seed, config_hash(cfg, seed), stem=f"scan_{mode}")
-    metric = "p_connected" if mode == "connectivity" else "p_giant"
-    for c in threshold_locator(result, metric=metric):
+    for c in crossings:
         if c.censored:
             print(f"n={c.n}: crossing censored (grid does not straddle 1/2)")
         else:

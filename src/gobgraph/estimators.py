@@ -1,5 +1,12 @@
 """Monte Carlo estimation of distributional parameters and statistical
-checks of the negative-correlation and marginal-CDF inequalities."""
+checks of the negative-correlation and marginal-CDF inequalities.
+
+Every estimator draws through `samplers.draw_blocks` and reduces each
+block as it arrives, so memory is bounded by one block of
+`samplers._BLOCK_BYTES` whatever `reps` is.  Exact samplers give the same
+draws as one whole-array call; a hit-and-run sampler runs one chain per
+block (see `samplers`).  The dimension d is read off a zero-count draw.
+"""
 
 import math
 from dataclasses import dataclass
@@ -7,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .samplers import draw_blocks
 
 
 def wilson_interval(successes, trials, z=1.96):
@@ -41,21 +49,41 @@ class MomentEstimate:
         return math.sqrt(self.sigma_max_sq)
 
 
+def _dim(sampler, stream):
+    """Edge-vector dimension of `sampler`, from a draw that consumes nothing."""
+    return sampler(stream, 0).shape[1]
+
+
 def estimate_moments(sampler, stream, reps):
     """Per-edge second moments with jackknife standard errors.
 
     The delete-1 jackknife SE of a sample mean reduces exactly to
-    std(x, ddof=1)/sqrt(reps).
+    std(x, ddof=1)/sqrt(reps).  The per-edge mean and sum of squared
+    deviations of X_e^2 are merged block by block with the pairwise
+    update of Chan, Golub & LeVeque (1979).
     """
     if reps < 1000:
         raise ConfigError(f"need reps >= 1000, got {reps}")
-    X = np.asarray(sampler(stream, reps), dtype=float)
-    sq = X * X
-    m = sq.mean(axis=0)
-    sd = sq.std(axis=0, ddof=1)
-    if np.any(sd == 0.0):
+    d = _dim(sampler, stream)
+    m, m2 = np.zeros(d), np.zeros(d)
+    # per-edge range of X_e^2: an edge is constant exactly when lo == hi
+    lo, hi = np.full(d, np.inf), np.full(d, -np.inf)
+    done = 0
+    for X in draw_blocks(sampler, stream, reps, d):
+        sq = X * X
+        rows = sq.shape[0]
+        b_mean = sq.mean(axis=0)
+        np.minimum(lo, sq.min(axis=0), out=lo)
+        np.maximum(hi, sq.max(axis=0), out=hi)
+        sq -= b_mean
+        delta = b_mean - m
+        done += rows
+        m += delta * (rows / done)
+        m2 += (np.einsum("ij,ij->j", sq, sq)
+               + delta * delta * ((done - rows) * rows / done))
+    if np.any(lo == hi):
         raise ValueError("degenerate sampler output: an edge coordinate is constant")
-    se = sd / math.sqrt(reps)
+    se = np.sqrt(m2 / (reps - 1)) / math.sqrt(reps)
     argmin = int(np.argmin(m))
     argmax = int(np.argmax(m))
     return MomentEstimate(
@@ -102,32 +130,40 @@ def nc_test(sampler, stream, I, J, s, t, reps):
     s = np.broadcast_to(np.asarray(s, dtype=float), (len(I),))
     t = np.broadcast_to(np.asarray(t, dtype=float), (len(J),))
 
-    batch1 = np.asarray(sampler(stream, reps))
-    joint_hits = np.all(batch1[:, I] > s, axis=1) & np.all(batch1[:, J] > t, axis=1)
-    k_joint = int(joint_hits.sum())
+    def tails(X):
+        return np.all(X[:, I] > s, axis=1), np.all(X[:, J] > t, axis=1)
+
+    dim = _dim(sampler, stream)
+    k_joint = 0
+    for X in draw_blocks(sampler, stream, reps, dim):
+        hits_i, hits_j = tails(X)
+        k_joint += int(np.count_nonzero(hits_i & hits_j))
     joint = k_joint / reps
     joint_se = math.sqrt(max(joint * (1 - joint), 1.0 / reps) / reps)
 
-    batch2 = np.asarray(sampler(stream, reps))
-    hits_i = np.all(batch2[:, I] > s, axis=1)
-    hits_j = np.all(batch2[:, J] > t, axis=1)
-    p_i = hits_i.mean()
-    p_j = hits_j.mean()
+    k_i = k_j = k_ij = 0
+    for X in draw_blocks(sampler, stream, reps, dim):
+        hits_i, hits_j = tails(X)
+        k_i += int(np.count_nonzero(hits_i))
+        k_j += int(np.count_nonzero(hits_j))
+        k_ij += int(np.count_nonzero(hits_i & hits_j))
+    p_i = k_i / reps
+    p_j = k_j / reps
     product = p_i * p_j
     v_i = p_i * (1 - p_i) / reps
     v_j = p_j * (1 - p_j) / reps
-    cov = (np.mean(hits_i & hits_j) - p_i * p_j) / reps
+    cov = (k_ij / reps - p_i * p_j) / reps
     product_var = p_j * p_j * v_i + p_i * p_i * v_j + 2 * p_i * p_j * cov
     product_se = math.sqrt(max(product_var, 0.0))
 
-    ci_i = wilson_interval(int(hits_i.sum()), reps)
-    ci_j = wilson_interval(int(hits_j.sum()), reps)
+    ci_i = wilson_interval(k_i, reps)
+    ci_j = wilson_interval(k_j, reps)
     combined = math.sqrt(joint_se ** 2 + product_se ** 2)
     verdict = "violation-at-3-sigma" if joint - product > 3 * combined else "consistent"
     return NcTestReport(
         I=I, J=J, s=np.array(s), t=np.array(t),
         joint=joint, joint_ci=wilson_interval(k_joint, reps),
-        product=float(product), product_ci=(ci_i[0] * ci_j[0], ci_i[1] * ci_j[1]),
+        product=product, product_ci=(ci_i[0] * ci_j[0], ci_i[1] * ci_j[1]),
         joint_se=joint_se, product_se=product_se, verdict=verdict,
     )
 
@@ -155,12 +191,15 @@ def marginal_bound_check(sampler, stream, moments, p_grid, reps):
     if np.any(p_grid <= 0) or np.any(p_grid >= 1):
         raise ValueError("p grid must lie in (0, 1)")
     sigma_min = moments.sigma_min
-    X = np.asarray(sampler(stream, reps))
-    d = X.shape[1]
+    d = _dim(sampler, stream)
+    below = np.zeros((len(p_grid), d), dtype=np.int64)  # counts of X_e <= p
+    for X in draw_blocks(sampler, stream, reps, d):
+        for k, p in enumerate(p_grid):
+            below[k] += np.count_nonzero(X <= p, axis=0)
     rows = []
     worst = 0.0
-    for p in p_grid:
-        hits = (X <= p).mean(axis=0)
+    for p, counts in zip(p_grid, below):
+        hits = counts / reps
         bound = p / sigma_min
         for e in range(d):
             est = float(hits[e])

@@ -24,7 +24,7 @@ from .graph import threshold_sweep
 # wraps these two names in this module
 from .graph import build_graph, components  # noqa: F401
 from .rng import substream
-from .samplers import make_sampler
+from .samplers import draw_blocks, make_sampler
 
 _CHUNK = 100  # replicates per work item; fixed so results ignore worker count
 _PILOT_KEY = 0  # replicate index 0 is reserved for the pilot moment stream
@@ -100,15 +100,11 @@ def resolve_grid(cfg, n, sigma_hat):
     return ps
 
 
-def _pilot_sigma(sampler, stream, draws, dim, chunk=200):
+def _pilot_sigma(sampler, stream, draws, dim):
     """Root mean second moment over all edges, estimated streaming."""
     total = 0.0
-    done = 0
-    while done < draws:
-        m = min(chunk, draws - done)
-        X = np.asarray(sampler(stream, m))
+    for X in draw_blocks(sampler, stream, draws, dim):
         total += float(np.sum(X * X))
-        done += m
     return math.sqrt(total / (draws * dim))
 
 

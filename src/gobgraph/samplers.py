@@ -7,6 +7,16 @@ the ball.  Each hit-and-run step finds its chord with `GobSpec.chord`
 (closed form, or Newton's method) and draws the point on it exactly:
 uniformly under the Indicator density, by rejection from the uniform
 law otherwise.
+
+Bulk draws go through `draw_blocks`, which asks a sampler for at most
+`_BLOCK_BYTES` of float64 coordinates per call, so the estimators and the
+scan pilot hold one block at a time however many draws they need.  The
+block's row count depends on the dimension alone.  The exact samplers draw
+row after row from the stream, so their blocks concatenate to the same
+values as one call; hit-and-run starts a new chain, with its own burn-in,
+on every call, so a draw larger than one block runs one chain per block.
+A zero-count draw returns an empty (0, d) array and consumes nothing
+from the stream, for every method.
 """
 
 from dataclasses import dataclass
@@ -15,6 +25,8 @@ import numpy as np
 
 from .edges import edge_count
 from .orlicz import Cap, GobSpec, Indicator, Linear, Power
+
+_BLOCK_BYTES = 8 << 20  # float64 coordinates per `draw_blocks` call
 
 
 @dataclass
@@ -108,6 +120,17 @@ def sample_shared_scale(n, stream, count=1):
     return np.minimum(1.0, z * u)
 
 
+def draw_blocks(sampler, stream, count, dim):
+    """Draw `count` edge vectors from `sampler` in consecutive blocks.
+
+    Yields (rows, dim) arrays whose row counts add up to `count`, with
+    rows = max(1, _BLOCK_BYTES // (8 * dim)) for every block but the last.
+    """
+    rows = max(1, _BLOCK_BYTES // (8 * dim))
+    for start in range(0, count, rows):
+        yield np.asarray(sampler(stream, min(rows, count - start)), dtype=float)
+
+
 def start_point(spec, mode):
     """A guaranteed strictly interior point of the ball.
 
@@ -155,6 +178,8 @@ def hit_and_run(spec, cfg, stream, count):
     h(sum f_e(.)) by `_draw_on_chord`.
     """
     d = spec.dim
+    if count == 0:
+        return np.empty((0, d))
     burn, thin = cfg.resolved_schedule(d)
     uniform_chord = isinstance(spec.radial_density, Indicator)
     x = start_point(spec, cfg.start)

@@ -10,12 +10,14 @@ import pytest
 import yaml
 
 import gobgraph
+from gobgraph import cli
 from gobgraph.cli import main
 from gobgraph.config import (ConfigError, build_spec, config_hash, n_list,
                              normalized, parse_config)
 from gobgraph.experiments import er_connectivity_oracle
 from gobgraph.report import CSV_HEADER, emit_csv, emit_plotdata
 from gobgraph.experiments import ScanResult, ScanRow
+from gobgraph.samplers import ValidationReport
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -197,7 +199,16 @@ def test_cli_scan_end_to_end(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["master_seed"] == 11
     assert manifest["command"] == "scan-connectivity"
-    assert len(manifest["config_hash"]) == 16
+    # the run record below stays out of the hash: this is its value from
+    # before the manifest recorded the run
+    assert manifest["config_hash"] == "018bce93690e9fb3"
+    assert set(manifest["versions"]) == {"python", "numpy", "scipy", "gobgraph"}
+    assert manifest["versions"]["numpy"] == np.__version__
+    assert manifest["sigma_hat"] == {"5": None, "6": None}  # explicit grid
+    assert manifest["validation"] == []  # exact sampler, nothing to gate
+    assert [c["n"] for c in manifest["crossings"]] == [5, 6]
+    assert set(manifest["crossings"][0]) == {
+        "n", "p_star", "censored", "normalized", "normalized_sigma"}
     dat = sorted(out.glob("*.dat"))
     assert len(dat) == 6
     assert dat[0].read_text().splitlines()[0].endswith(
@@ -306,6 +317,64 @@ def test_cli_scan_gated_on_validation(tmp_path):
     assert main(["scan-connectivity", "--config", cfg, "--out", str(out),
                  "--force"]) == 0
     assert (out / "scan_connectivity.csv").exists()
+
+
+def test_cli_scan_gates_every_n(tmp_path, monkeypatch):
+    cfg = _write_cfg(tmp_path, """\
+        model:
+          family: simplex
+        sampler:
+          method: hit_and_run
+          seed: 1
+          burn_in: 30
+          thinning: 2
+        scan:
+          n_list: [4, 5, 6]
+          replicates: 30
+          pilot_draws: 40
+          grid: {kind: gamma, gammas: [0.5, 1.0]}
+    """)
+    keys = {}
+    substream = cli.substream
+
+    def keyed(seed, key):
+        gen = substream(seed, key)
+        keys[id(gen)] = key
+        return gen
+
+    gated = []
+    failing = {6}
+
+    def fake_validate(spec, sampler_cfg, pair, draws):
+        gated.append((spec.n, [keys[id(s)] for s in pair]))
+        ok = spec.n not in failing
+        return ValidationReport(ok=ok, reason="stub", max_ks=0.5, critical=0.1)
+
+    monkeypatch.setattr(cli, "substream", keyed)
+    monkeypatch.setattr(cli, "validate_sampler", fake_validate)
+    out = tmp_path / "gated"
+    argv = ["scan-connectivity", "--config", cfg, "--out", str(out)]
+    assert main(argv) == 3
+    tag = cli._TAG_VALIDATE
+    expect = [(4, [(tag, 0), (tag, 1)]), (5, [(tag, 2), (tag, 3)]),
+              (6, [(tag, 4), (tag, 5)])]
+    assert gated == expect
+    assert not (out / "scan_connectivity.csv").exists()
+
+    gated.clear()
+    assert main(argv + ["--force"]) == 0
+    assert gated == expect
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [(v["n"], v["ok"]) for v in manifest["validation"]] == [
+        (4, True), (5, True), (6, False)]
+    assert set(manifest["sigma_hat"]) == {"4", "5", "6"}
+    assert all(s > 0 for s in manifest["sigma_hat"].values())
+
+    # without --force the gate stops at the first failing n
+    gated.clear()
+    failing = {4}
+    assert main(argv) == 3
+    assert gated == expect[:1]
 
 
 def test_cli_exit_codes(tmp_path):

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -5,7 +8,9 @@ from scipy import integrate
 from gobgraph import (GobSpec, Linear, Power, SamplerConfig, estimate_moments,
                       make_sampler, marginal_bound_check, nc_test,
                       sample_shared_scale, substream, wilson_interval)
+from gobgraph import samplers
 from gobgraph.config import ConfigError
+from gobgraph.estimators import MarginalBoundRow
 
 
 def _stream(key):
@@ -79,9 +84,102 @@ def test_moments_validation():
     sampler = _simplex_sampler()
     with pytest.raises(ConfigError):
         estimate_moments(sampler, _stream(3), 999)
-    constant = lambda stream, count: np.full((count, 3), 0.25)
-    with pytest.raises(ValueError):
+
+
+@pytest.mark.parametrize("value", [0.2, 0.25])
+def test_moments_reject_a_constant_coordinate(value):
+    # 0.2 ** 2 does not sum exactly, so a test on the computed SD misses it
+    constant = lambda stream, count: np.full((count, 3), value)
+    with pytest.raises(ValueError, match="constant"):
         estimate_moments(constant, _stream(4), 2000)
+
+
+# ---------------------------------------------------------------------------
+# streaming: the block-wise estimators against whole-array computations
+
+STREAM_N = 20        # d = 190, so a block is 5518 rows
+STREAM_REPS = 12_000  # two full blocks and a partial one
+
+
+def _streaming_sampler():
+    spec = GobSpec(STREAM_N, Linear(1.0))
+    rows = samplers._BLOCK_BYTES // (8 * spec.dim)
+    assert STREAM_REPS > rows and STREAM_REPS % rows != 0
+    return make_sampler(spec, SamplerConfig(method="exact_simplex"))
+
+
+def test_moments_streamed_match_whole_array():
+    sampler = _streaming_sampler()
+    est = estimate_moments(sampler, _stream(20), STREAM_REPS)
+    sq = sampler(_stream(20), STREAM_REPS) ** 2
+    m = sq.mean(axis=0)
+    se = sq.std(axis=0, ddof=1) / math.sqrt(STREAM_REPS)
+    np.testing.assert_allclose(est.second_moments, m, rtol=1e-12)
+    np.testing.assert_allclose(est.standard_errors, se, rtol=1e-12)
+    assert est.argmin == int(np.argmin(est.second_moments))
+    assert est.argmax == int(np.argmax(est.second_moments))
+
+
+def test_nc_test_streamed_match_whole_array():
+    sampler = _streaming_sampler()
+    I, J, s, t = (3, 40), (100,), np.array([0.004, 0.006]), 0.005
+    report = nc_test(sampler, _stream(21), I, J, s, t, STREAM_REPS)
+
+    reps = STREAM_REPS
+    stream = _stream(21)
+    b1 = sampler(stream, reps)
+    k_joint = int(np.sum(np.all(b1[:, I] > s, axis=1) & np.all(b1[:, J] > t, axis=1)))
+    b2 = sampler(stream, reps)
+    hits_i = np.all(b2[:, I] > s, axis=1)
+    hits_j = np.all(b2[:, J] > t, axis=1)
+    joint = k_joint / reps
+    p_i, p_j = hits_i.mean(), hits_j.mean()
+    cov = (np.mean(hits_i & hits_j) - p_i * p_j) / reps
+    var = (p_j * p_j * p_i * (1 - p_i) / reps + p_i * p_i * p_j * (1 - p_j) / reps
+           + 2 * p_i * p_j * cov)
+    assert 0 < k_joint < reps and 0 < hits_i.sum() < reps
+    assert report.joint == joint
+    assert report.joint_ci == wilson_interval(k_joint, reps)
+    assert report.joint_se == math.sqrt(max(joint * (1 - joint), 1.0 / reps) / reps)
+    assert report.product == float(p_i * p_j)
+    assert report.product_se == math.sqrt(max(var, 0.0))
+    ci_i = wilson_interval(int(hits_i.sum()), reps)
+    ci_j = wilson_interval(int(hits_j.sum()), reps)
+    assert report.product_ci == (ci_i[0] * ci_j[0], ci_i[1] * ci_j[1])
+
+
+def test_marginal_bound_streamed_match_whole_array():
+    sampler = _streaming_sampler()
+    est = estimate_moments(sampler, _stream(22), STREAM_REPS)
+    grid = np.array([0.001, 0.004, 0.02])
+    report = marginal_bound_check(sampler, _stream(23), est, grid, STREAM_REPS)
+
+    reps = STREAM_REPS
+    X = sampler(_stream(23), reps)
+    rows = []
+    for p in grid:
+        hits = (X <= p).mean(axis=0)
+        bound = p / est.sigma_min
+        for e, h in enumerate(hits):
+            se = math.sqrt(max(h * (1 - h), 1.0 / reps) / reps)
+            rows.append(MarginalBoundRow(edge=e, p=float(p), estimate=float(h),
+                                         se=se, bound=bound, ok=h <= bound + 3 * se))
+    assert report.rows == rows
+    assert report.ok == all(r.ok for r in rows)
+    assert report.worst_ratio == max(r.estimate / r.bound for r in rows)
+
+
+def test_moments_memory_bounded_by_blocks():
+    # the whole 20000 x 1770 float64 array would be 283 MB
+    sampler = make_sampler(GobSpec(60, Linear(1.0)),
+                           SamplerConfig(method="exact_simplex"))
+    tracemalloc.start()
+    try:
+        estimate_moments(sampler, _stream(24), 20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * samplers._BLOCK_BYTES
 
 
 # ---------------------------------------------------------------------------

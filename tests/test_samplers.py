@@ -7,7 +7,7 @@ from gobgraph import (Cap, ExponentialDecay, GobSpec, Linear, PowerDecay,
                       ks_critical, make_sampler, sample_cube, sample_lq_orthant,
                       sample_shared_scale, sample_simplex, start_point,
                       substream, validate_sampler)
-from gobgraph.samplers import _draw_on_chord
+from gobgraph.samplers import _BLOCK_BYTES, _draw_on_chord, draw_blocks
 
 
 def _stream(key=0):
@@ -231,6 +231,39 @@ def test_make_sampler_family_checks():
     weighted = GobSpec(3, Linear(1.0), radial_density=ExponentialDecay(1.0))
     with pytest.raises(ValueError):
         make_sampler(weighted, SamplerConfig(method="exact_simplex"))
+
+
+@pytest.mark.parametrize("spec, method", [
+    (GobSpec(4, Cap(1.0)), "exact_cube"),
+    (GobSpec(4, Linear(1.0)), "exact_simplex"),
+    (GobSpec(4, Power(1.0, 2.0)), "exact_lq"),
+    (GobSpec(4, Linear(1.0)), "hit_and_run"),  # the linear chain
+    (GobSpec(4, Power(1.0, 2.0), radial_density=ExponentialDecay(1.5)),
+     "hit_and_run"),
+])
+def test_zero_count_draw_is_empty_and_free(spec, method):
+    sampler = make_sampler(spec, SamplerConfig(method=method, burn_in=20,
+                                               thinning=2))
+    probed, fresh = _stream(30), _stream(30)
+    empty = sampler(probed, 0)
+    assert empty.shape == (0, spec.dim)
+    assert np.array_equal(sampler(probed, 3), sampler(fresh, 3))
+
+
+def test_draw_blocks_rule_and_exact_concatenation():
+    n, d = 20, 190
+    rows = _BLOCK_BYTES // (8 * d)
+    sampler = make_sampler(GobSpec(n, Linear(1.0)),
+                           SamplerConfig(method="exact_simplex"))
+    count = 2 * rows + 7
+    blocks = list(draw_blocks(sampler, _stream(31), count, d))
+    assert [b.shape for b in blocks] == [(rows, d), (rows, d), (7, d)]
+    assert np.array_equal(np.vstack(blocks), sampler(_stream(31), count))
+    assert list(draw_blocks(sampler, _stream(31), 0, d)) == []
+    # a row wider than a block still gets one row per call
+    wide = _BLOCK_BYTES // 8 + 1
+    one = lambda stream, count: np.zeros((count, wide))
+    assert [b.shape[0] for b in draw_blocks(one, _stream(31), 3, wide)] == [1, 1, 1]
 
 
 def test_exact_twin_detection():
