@@ -2,7 +2,7 @@
 laws on generalized Orlicz balls: samplers, graph statistics, moment and
 correlation estimators, and Monte Carlo threshold scans."""
 
-from .edges import edge_count, edge_index, edge_pairs
+from .edges import edge_count, edge_endpoints, edge_index, edge_pairs
 from .estimators import (MomentEstimate, NcTestReport, estimate_moments,
                          marginal_bound_check, nc_test, wilson_interval)
 from .experiments import (Crossing, ScanConfig, ScanResult, ScanRow,
@@ -17,6 +17,6 @@ from .rng import substream
 from .samplers import (SamplerConfig, ValidationReport, exact_twin,
                        hit_and_run, ks_critical, make_sampler, sample_cube,
                        sample_lq_orthant, sample_shared_scale, sample_simplex,
-                       start_point, validate_sampler)
+                       sample_simplex_censored, start_point, validate_sampler)
 
 __version__ = "0.1.0"

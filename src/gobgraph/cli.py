@@ -148,7 +148,8 @@ def _run_scan(args, mode):
     metric = "p_connected" if mode == "connectivity" else "p_giant"
     crossings = threshold_locator(result, metric=metric)
     _write_manifest(args.out, f"scan-{mode}", cfg, seed, run={
-        "sigma_hat": {str(n): s for n, s in result.meta["sigma_hat"].items()},
+        **{key: {str(n): v for n, v in result.meta[key].items()}
+           for key in ("sigma_hat", "censor_above", "edges_kept")},
         "validation": verdicts,
         "crossings": [dataclasses.asdict(c) for c in crossings],
     })

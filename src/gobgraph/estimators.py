@@ -169,24 +169,21 @@ def nc_test(sampler, stream, I, J, s, t, reps):
 
 
 @dataclass
-class MarginalBoundRow:
-    edge: int
-    p: float
-    estimate: float
-    se: float
-    bound: float
-    ok: bool
-
-
-@dataclass
 class MarginalBoundReport:
-    rows: list
+    p_grid: np.ndarray     # (P,) thresholds
+    bounds: np.ndarray     # (P,) p / sigma_min
+    estimates: np.ndarray  # (P, d) estimates of P(X_e <= p)
+    standard_errors: np.ndarray  # (P, d) binomial SEs, floored at 1/reps
+    ok_flags: np.ndarray   # (P, d) estimate <= bound + 3 SE
     ok: bool
-    worst_ratio: float  # max over rows of estimate / bound
+    worst_ratio: float     # max over (p, e) of estimate / bound
 
 
 def marginal_bound_check(sampler, stream, moments, p_grid, reps):
-    """Check the per-edge CDF bound P(X_e <= p) <= p/sigma_min + 3*SE."""
+    """Check the per-edge CDF bound P(X_e <= p) <= p/sigma_min + 3*SE.
+
+    The report holds a few (len(p_grid), d) arrays, not one object per
+    (edge, p)."""
     p_grid = np.asarray(p_grid, dtype=float)
     if np.any(p_grid <= 0) or np.any(p_grid >= 1):
         raise ValueError("p grid must lie in (0, 1)")
@@ -196,16 +193,11 @@ def marginal_bound_check(sampler, stream, moments, p_grid, reps):
     for X in draw_blocks(sampler, stream, reps, d):
         for k, p in enumerate(p_grid):
             below[k] += np.count_nonzero(X <= p, axis=0)
-    rows = []
-    worst = 0.0
-    for p, counts in zip(p_grid, below):
-        hits = counts / reps
-        bound = p / sigma_min
-        for e in range(d):
-            est = float(hits[e])
-            se = math.sqrt(max(est * (1 - est), 1.0 / reps) / reps)
-            ok = est <= bound + 3 * se
-            worst = max(worst, est / bound)
-            rows.append(MarginalBoundRow(edge=e, p=float(p), estimate=est,
-                                         se=se, bound=bound, ok=ok))
-    return MarginalBoundReport(rows=rows, ok=all(r.ok for r in rows), worst_ratio=worst)
+    estimates = below / reps
+    bounds = p_grid / sigma_min
+    se = np.sqrt(np.maximum(estimates * (1 - estimates), 1.0 / reps) / reps)
+    ok_flags = estimates <= bounds[:, None] + 3 * se
+    return MarginalBoundReport(
+        p_grid=p_grid, bounds=bounds, estimates=estimates, standard_errors=se,
+        ok_flags=ok_flags, ok=bool(ok_flags.all()),
+        worst_ratio=float(np.max(estimates / bounds[:, None])))

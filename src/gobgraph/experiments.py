@@ -8,11 +8,18 @@ Newman-Ziff sweep per replicate (`graph.threshold_sweep`): every
 accumulator comes from the component-order histogram at each p.  All
 per-cell accumulators are integers, so reduction is exact and
 order-independent: results do not depend on the worker count.
+
+A replicate needs only the coordinates at or below the grid's largest p,
+so the chunks' sampler config carries that level as `censor_above`; the
+exact simplex sampler then draws those coordinates alone (see
+`samplers`).  The pilot draws full vectors.  The level and the number of
+coordinates at or below it (`edges_kept`, summed over replicates) are
+recorded per n in the result's meta, not in the rows.
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -144,15 +151,20 @@ def _scan_chunk(payload):
     sampler = make_sampler(spec, sampler_cfg)
     big_thresh = beta * math.log(n)
     mass_cutoff = max(1, math.floor(big_thresh))
+    level = max(p_values)
     counts = []
+    edges_kept = 0
     for r in range(r0, r1):
         stream = substream(master_seed, (n_index, r + 1))
         x = sampler(stream, 1)[0]
+        edges_kept += int(np.count_nonzero(x <= level))
         for hist in threshold_sweep(x, n, p_values):
             counts.append(_cell_counts(hist, n, big_thresh, mass_cutoff))
     sums = np.array(counts, dtype=np.int64).reshape(
         r1 - r0, len(p_values), len(_ACC_KEYS)).sum(axis=0)
-    return {key: sums[:, j] for j, key in enumerate(_ACC_KEYS)}
+    out = {key: sums[:, j] for j, key in enumerate(_ACC_KEYS)}
+    out["edges_kept"] = edges_kept
+    return out
 
 
 def run_scan(specs, sampler_cfg, cfg, master_seed, workers=1):
@@ -172,9 +184,10 @@ def run_scan(specs, sampler_cfg, cfg, master_seed, workers=1):
         sigma_hats[spec.n] = sigma_hat
         p_values = resolve_grid(cfg, spec.n, sigma_hat)
         grids[spec.n] = p_values
+        chunk_cfg = replace(sampler_cfg, censor_above=max(p_values))
         for r0 in range(0, cfg.replicates, _CHUNK):
             r1 = min(r0 + _CHUNK, cfg.replicates)
-            tasks.append((spec, sampler_cfg, p_values, master_seed,
+            tasks.append((spec, chunk_cfg, p_values, master_seed,
                           n_index, r0, r1, cfg.beta))
 
     if workers > 1:
@@ -226,6 +239,8 @@ def run_scan(specs, sampler_cfg, cfg, master_seed, workers=1):
         "beta": cfg.beta,
         "replicates": reps,
         "sigma_hat": sigma_hats,
+        "censor_above": {n: max(grid) for n, grid in grids.items()},
+        "edges_kept": {n: merged[n]["edges_kept"] for n in grids},
     }
     return ScanResult(rows=rows, meta=meta)
 

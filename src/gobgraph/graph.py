@@ -18,7 +18,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .edges import edge_count, edge_pairs
+from .edges import edge_count, edge_endpoints, edge_pairs
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,10 @@ def threshold_sweep(x, n, p_values):
     x_e <= max(p) are sorted by x and unioned in that order, and
     the histogram is read off as each threshold is passed.  `p_values`
     may be unsorted and repeat values; the result follows their order.
+    Coordinates above max(p) are never read beyond that comparison, so a
+    censored draw (+inf above the level) gives the same histograms as the
+    full vector at every p up to the level.  The endpoints of the kept
+    edges come from `edges.edge_endpoints`, not from an edge table.
     """
     x = _edge_values(x, n)
     ps = np.array([_check_p(p) for p in p_values], dtype=float)
@@ -121,9 +125,8 @@ def threshold_sweep(x, n, p_values):
     # ordered, so the faster unstable sort gives the same histograms
     kept = kept[np.argsort(x[kept])]
     cuts = np.searchsorted(x[kept], ps[order], side="right")
-    pairs = edge_pairs(n)[kept]
-    hists = _union_sweep(n, pairs[:, 0].tolist(), pairs[:, 1].tolist(),
-                         cuts.tolist())
+    us, vs = edge_endpoints(n, kept)
+    hists = _union_sweep(n, us.tolist(), vs.tolist(), cuts.tolist())
     out = [None] * len(ps)
     for k, hist in zip(order.tolist(), hists):
         out[k] = hist

@@ -228,7 +228,10 @@ class GobSpec:
 
     `components` is either a single component (applied uniformly to every
     edge) or a sequence of length n(n-1)/2 in canonical edge order.  The
-    optional `radial_density` reweights the uniform law on the ball.
+    optional `radial_density` reweights the uniform law on the ball.  A
+    uniform spec builds its per-edge arrays with `np.full` from the one
+    component, with no per-edge Python work; they equal, bit for bit, the
+    arrays of the same component listed once per edge.
     """
 
     def __init__(self, n, components, radial_density=None):
@@ -248,7 +251,10 @@ class GobSpec:
             self.uniform = True
         self.components = comps
 
-        self.a = np.array([c.inverse_at_one() for c in comps])
+        if self.uniform:
+            self.a = np.full(self.dim, components.inverse_at_one())
+        else:
+            self.a = np.array([c.inverse_at_one() for c in comps])
         if not np.all(np.isfinite(self.a)):
             raise ValueError("every component must have a finite extent")
 
@@ -256,7 +262,7 @@ class GobSpec:
 
     def _build_groups(self):
         lin, powr, cap, pwl = [], [], [], []
-        for k, c in enumerate(self.components):
+        for k, c in enumerate(self.distinct_components()):
             if isinstance(c, Linear):
                 lin.append(k)
             elif isinstance(c, Power):
@@ -267,25 +273,37 @@ class GobSpec:
                 pwl.append(k)
             else:
                 raise TypeError(f"unknown component type: {type(c)!r}")
+        if self.uniform:  # the one component stands for every edge
+            lin, powr, cap, pwl = (range(self.dim) if idx else []
+                                   for idx in (lin, powr, cap, pwl))
 
         def pack(idx):
             # full coverage -> slice, avoids fancy-index copies in hot paths
             return slice(None) if len(idx) == self.dim else np.array(idx, dtype=np.intp)
 
+        def per_edge(idx, attr):
+            if self.uniform:
+                return np.full(self.dim, getattr(self.components[0], attr))
+            return np.array([getattr(self.components[k], attr) for k in idx])
+
         self._lin_idx = pack(lin) if lin else None
         if lin:
-            self._lin_inv = 1.0 / np.array([self.components[k].a for k in lin])
+            self._lin_inv = 1.0 / per_edge(lin, "a")
         self._pow_idx = pack(powr) if powr else None
         if powr:
-            self._pow_inv = 1.0 / np.array([self.components[k].a for k in powr])
-            self._pow_q = np.array([self.components[k].q for k in powr])
+            self._pow_inv = 1.0 / per_edge(powr, "a")
+            self._pow_q = per_edge(powr, "q")
             # d/dy (y/a)^q = (q/a) (y/a)^(q-1)
             self._pow_q1 = self._pow_q - 1.0
             self._pow_dinv = self._pow_q * self._pow_inv
         self._cap_idx = pack(cap) if cap else None
         if cap:
-            self._cap_a = np.array([self.components[k].a for k in cap])
+            self._cap_a = per_edge(cap, "a")
         self._pwl = [(k, self.components[k]) for k in pwl]
+
+    def distinct_components(self):
+        """The shared component of a uniform spec, else every component."""
+        return self.components[:1] if self.uniform else self.components
 
     # -- geometric queries --------------------------------------------------
 

@@ -17,8 +17,19 @@ values as one call; hit-and-run starts a new chain, with its own burn-in,
 on every call, so a draw larger than one block runs one chain per block.
 A zero-count draw returns an empty (0, d) array and consumes nothing
 from the stream, for every method.
+
+A threshold scan keeps only the coordinates at or below the largest p of
+its grid, so with `SamplerConfig.censor_above` set to that level the
+exact simplex sampler draws those coordinates alone
+(`sample_simplex_censored`) and returns +inf in place of every other one.
+Each vector has the law of a dense draw with the coordinates above the
+level replaced by +inf, so every graph at a threshold up to the level has
+its exact law; the stream is used differently from a dense draw, so the
+values differ.  The other methods ignore the level and return full
+vectors.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +38,9 @@ from .edges import edge_count
 from .orlicz import Cap, GobSpec, Indicator, Linear, Power
 
 _BLOCK_BYTES = 8 << 20  # float64 coordinates per `draw_blocks` call
+# the censored simplex draw splits the exponentials at
+# level * max(coeffs) * (m + s sqrt(m) + s), s standard deviations of their sum
+_SPLIT_SIGMAS = 10.0
 
 
 @dataclass
@@ -34,7 +48,11 @@ class SamplerConfig:
     """Method and schedule for drawing edge vectors.
 
     burn_in/thinning default to 50*d and d when left as None; exact
-    methods ignore them.
+    methods ignore them.  censor_above, when set, is a level above which
+    the caller discards every coordinate (a scan sets it to the largest p
+    of its grid); exact_simplex then draws only the coordinates at or
+    below it and returns +inf for the others.  It is set by the scan, not
+    read from a config file.
     """
 
     method: str = "hit_and_run"
@@ -42,6 +60,7 @@ class SamplerConfig:
     burn_in: int | None = None
     thinning: int | None = None
     start: str = "analytic_center"
+    censor_above: float | None = None
 
     _METHODS = ("exact_cube", "exact_simplex", "exact_lq", "hit_and_run")
     _STARTS = ("origin_nudge", "analytic_center")
@@ -55,6 +74,8 @@ class SamplerConfig:
             raise ValueError("burn_in must be >= 0")
         if self.thinning is not None and self.thinning < 1:
             raise ValueError("thinning must be >= 1")
+        if self.censor_above is not None and not self.censor_above > 0:
+            raise ValueError(f"censor_above must be > 0, got {self.censor_above}")
 
     def resolved_schedule(self, dim):
         burn = 50 * dim if self.burn_in is None else self.burn_in
@@ -85,6 +106,57 @@ def sample_simplex(n, coeffs, stream, count=1):
     y /= e.sum(axis=1, keepdims=True)
     y /= coeffs
     return y
+
+
+def sample_simplex_censored(n, coeffs, level, stream, count=1):
+    """`sample_simplex` draws with every coordinate above `level` set to +inf.
+
+    Only the coordinates at or below the level are drawn (Devroye,
+    Non-Uniform Random Variate Generation, 1986, ch. V).  With m = d + 1
+    exponentials E_i and x_i = E_i/S/coeffs_i, split at
+    c = level * max(coeffs) * (m + s sqrt(m) + s), s = _SPLIT_SIGMAS:
+    K ~ Binomial(m, 1 - e^-c) of the E_i lie below c, at a uniform
+    K-subset of positions, each Exp(1) truncated to [0, c] (inverse CDF).
+    The other m - K are c plus Exp(1) excesses (memorylessness) and enter
+    S only through their sum, (m - K) c + Gamma(m - K).  Such an E_i has
+    x_i > level unless level * max(coeffs) * S >= c, which needs S some s
+    standard deviations above its mean; then their excesses are drawn
+    exactly, as Gamma(m - K) times uniform spacings, since redrawing the
+    whole vector would bias the law.  A coordinate is kept when its
+    quotient x_i is at most the level, as `graph.build_graph` compares.
+    `coeffs` is a scalar or one positive value per edge.
+    """
+    d = edge_count(n)
+    coeffs = np.asarray(coeffs, dtype=float)
+    if np.any(coeffs <= 0):
+        raise ValueError("simplex coefficients must be positive")
+    if not level > 0:
+        raise ValueError(f"censoring level must be > 0, got {level}")
+    m = d + 1
+    top = level * float(coeffs.max())  # E_i > top * S gives x_i > level
+    c = max(0.0, top * (m + _SPLIT_SIGMAS * (math.sqrt(m) + 1.0)))
+    below = -math.expm1(-c)  # P(E_i <= c)
+    out = np.full((count, d), np.inf)
+    for row in out:
+        k = int(stream.binomial(m, below))
+        pos = stream.choice(m, k, replace=False, shuffle=False)
+        e = -np.log1p(-below * stream.random(k))
+        rest = m - k
+        excess_sum = stream.standard_gamma(rest)
+        s = float(e.sum()) + rest * c + excess_sum
+        if rest and top * s >= c:
+            spacings = np.diff(np.sort(stream.random(rest - 1)),
+                               prepend=0.0, append=1.0)
+            above = np.ones(m, dtype=bool)
+            above[pos] = False
+            pos = np.concatenate([pos, np.flatnonzero(above)])
+            e = np.concatenate([e, c + excess_sum * spacings])
+        edge = pos < d  # position d is the slack coordinate
+        pos = pos[edge]
+        x = e[edge] / s / (coeffs[pos] if coeffs.ndim else coeffs)
+        keep = x <= level
+        row[pos[keep]] = x[keep]
+    return out
 
 
 def sample_lq_orthant(n, q, scales, stream, count=1):
@@ -145,7 +217,8 @@ def start_point(spec, mode):
         return spec.a / (2.0 * d)
     if mode == "analytic_center":
         level = 1.0 / (2.0 * d)
-        return 0.5 * np.array([c.inverse_at(level) for c in spec.components])
+        extents = np.array([c.inverse_at(level) for c in spec.distinct_components()])
+        return 0.5 * np.broadcast_to(extents, (d,))
     raise ValueError(f"unknown start mode {mode!r}")
 
 
@@ -250,11 +323,11 @@ def _hit_and_run_linear(spec, x, stream, count, burn, thin):
 
 
 def _all_of(spec, kind):
-    return all(isinstance(c, kind) for c in spec.components)
+    return all(isinstance(c, kind) for c in spec.distinct_components())
 
 
 def _uniform_power_q(spec):
-    qs = {c.q for c in spec.components}
+    qs = {c.q for c in spec.distinct_components()}
     return qs.pop() if len(qs) == 1 else None
 
 
@@ -272,7 +345,13 @@ def make_sampler(spec, cfg):
         if not _all_of(spec, Linear):
             raise ValueError("exact_simplex requires all-Linear components")
         coeffs = 1.0 / spec.a
-        return lambda stream, count: sample_simplex(n, coeffs, stream, count)
+        level = cfg.censor_above
+        if level is None:
+            return lambda stream, count: sample_simplex(n, coeffs, stream, count)
+        if spec.uniform:  # one scalar spares O(d) work per draw
+            coeffs = coeffs[0]
+        return lambda stream, count: sample_simplex_censored(
+            n, coeffs, level, stream, count)
     if cfg.method == "exact_lq":
         if not _all_of(spec, Power):
             raise ValueError("exact_lq requires all-Power components")

@@ -51,6 +51,10 @@ def test_parse_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(
             "model:\n  family: cube\n  n: 5\nsampler:\n  walk_length: 3\n")
+    # the scan sets the censoring level; a config file cannot
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("model:\n  family: simplex\n  n: 5\n"
+                     "sampler:\n  censor_above: 0.1\n")
 
 
 def test_parse_invariant_errors():
@@ -209,6 +213,13 @@ def test_cli_scan_end_to_end(tmp_path):
     assert [c["n"] for c in manifest["crossings"]] == [5, 6]
     assert set(manifest["crossings"][0]) == {
         "n", "p_star", "censored", "normalized", "normalized_sigma"}
+    # the level is the grid's largest p; every replicate keeps some of the
+    # 10 and 15 coordinates at or below 0.6, and none of it enters the CSV
+    assert manifest["censor_above"] == {"5": 0.6, "6": 0.6}
+    kept = manifest["edges_kept"]
+    assert set(kept) == {"5", "6"}
+    assert 0 < kept["5"] < 200 * 10 and 0 < kept["6"] < 200 * 15
+    assert "censor" not in lines[0] and "kept" not in lines[0]
     dat = sorted(out.glob("*.dat"))
     assert len(dat) == 6
     assert dat[0].read_text().splitlines()[0].endswith(

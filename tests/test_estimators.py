@@ -10,7 +10,6 @@ from gobgraph import (GobSpec, Linear, Power, SamplerConfig, estimate_moments,
                       sample_shared_scale, substream, wilson_interval)
 from gobgraph import samplers
 from gobgraph.config import ConfigError
-from gobgraph.estimators import MarginalBoundRow
 
 
 def _stream(key):
@@ -154,19 +153,32 @@ def test_marginal_bound_streamed_match_whole_array():
     grid = np.array([0.001, 0.004, 0.02])
     report = marginal_bound_check(sampler, _stream(23), est, grid, STREAM_REPS)
 
+    # the reference is the per-(edge, p) loop on the whole array; the
+    # report's arrays must equal it bit for bit
     reps = STREAM_REPS
     X = sampler(_stream(23), reps)
-    rows = []
-    for p in grid:
-        hits = (X <= p).mean(axis=0)
+    d = X.shape[1]
+    estimates = np.empty((len(grid), d))
+    ses = np.empty((len(grid), d))
+    oks = np.empty((len(grid), d), dtype=bool)
+    bounds = []
+    worst = 0.0
+    for k, p in enumerate(grid):
+        hits = np.count_nonzero(X <= p, axis=0) / reps
         bound = p / est.sigma_min
-        for e, h in enumerate(hits):
+        bounds.append(bound)
+        for e in range(d):
+            h = float(hits[e])
             se = math.sqrt(max(h * (1 - h), 1.0 / reps) / reps)
-            rows.append(MarginalBoundRow(edge=e, p=float(p), estimate=float(h),
-                                         se=se, bound=bound, ok=h <= bound + 3 * se))
-    assert report.rows == rows
-    assert report.ok == all(r.ok for r in rows)
-    assert report.worst_ratio == max(r.estimate / r.bound for r in rows)
+            estimates[k, e], ses[k, e], oks[k, e] = h, se, h <= bound + 3 * se
+            worst = max(worst, h / bound)
+    assert np.array_equal(report.p_grid, grid)
+    assert np.array_equal(report.bounds, bounds)
+    assert np.array_equal(report.estimates, estimates)
+    assert np.array_equal(report.standard_errors, ses)
+    assert np.array_equal(report.ok_flags, oks)
+    assert report.ok == bool(oks.all())
+    assert report.worst_ratio == worst
 
 
 def test_moments_memory_bounded_by_blocks():

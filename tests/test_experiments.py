@@ -6,7 +6,8 @@ import pytest
 
 from gobgraph import (Cap, GobSpec, Linear, SamplerConfig, ScanConfig, ScanRow,
                       ScanResult, connectivity_scan, er_connectivity_oracle,
-                      giant_scan, resolve_grid, run_scan, threshold_locator)
+                      giant_scan, make_sampler, resolve_grid, run_scan,
+                      substream, threshold_locator)
 from gobgraph.config import ConfigError
 
 
@@ -150,6 +151,22 @@ def test_simplex_scan_rows_identical_across_workers():
     b = run_scan(specs, sampler_cfg, cfg, 11, workers=2)
     assert a.rows == b.rows
     assert a.meta == b.meta
+
+
+def test_scan_records_censor_level_and_edges_kept():
+    # 250 replicates run as three chunks; the merged count must equal a
+    # replay of every replicate's draw
+    ps = (0.15, 0.4, 0.25)
+    specs = [GobSpec(n, Linear(1.0)) for n in (5, 7)]
+    cfg = ScanConfig(mode="connectivity", replicates=250, values=ps)
+    result = run_scan(specs, SamplerConfig(method="exact_simplex"), cfg, 21)
+    assert result.meta["censor_above"] == {5: 0.4, 7: 0.4}
+    sampler = make_sampler(specs[1], SamplerConfig(method="exact_simplex",
+                                                   censor_above=0.4))
+    replay = sum(int(np.count_nonzero(sampler(substream(21, (1, r + 1)), 1) <= 0.4))
+                 for r in range(250))
+    assert result.meta["edges_kept"][7] == replay
+    assert all(isinstance(v, int) and v > 0 for v in result.meta["edges_kept"].values())
 
 
 def test_scan_meta_and_mode_guards():

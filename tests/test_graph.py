@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gobgraph import (build_graph, components, components_bfs, edge_count,
-                      edge_index, edge_pairs, histogram_stats,
+                      edge_endpoints, edge_index, edge_pairs, histogram_stats,
                       small_component_mass, threshold_sweep)
 from gobgraph.experiments import _cell_counts
 
@@ -30,6 +30,24 @@ def test_edge_index_roundtrip():
     pairs = edge_pairs(n)
     for e, (i, j) in enumerate(pairs.tolist()):
         assert edge_index(n, i, j) == e
+
+
+def test_edge_endpoints_invert_the_canonical_order():
+    for n in range(2, 201):
+        i, j = edge_endpoints(n, np.arange(edge_count(n)))
+        pairs = edge_pairs(n)
+        assert np.array_equal(i, pairs[:, 0]) and np.array_equal(j, pairs[:, 1])
+    # n = 2000: the first and last edge of every row, and their neighbours
+    n = 2000
+    rows = np.arange(n - 1)
+    starts = rows * (2 * n - rows - 1) // 2
+    k = np.unique(np.concatenate([starts - 1, starts, starts + 1]))
+    k = k[(k >= 0) & (k < edge_count(n))]
+    i, j = edge_endpoints(n, k)
+    assert np.all((0 <= i) & (i < j) & (j < n))
+    assert [edge_index(n, a, b) for a, b in zip(i.tolist(), j.tolist())] == k.tolist()
+    assert np.array_equal(i[np.isin(k, starts)], rows)
+    assert np.array_equal(j[np.isin(k, starts)], rows + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +184,21 @@ def test_sweep_matches_bfs_per_threshold(data, n, grid, beta):
         assert histogram_stats(n, hist) == truth
         assert (_cell_counts(hist, n, big_thresh, mass_cutoff)
                 == _counts_from_stats(truth, n, big_thresh, mass_cutoff))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 12), level=st.sampled_from(_LEVELS),
+       grid=st.lists(st.sampled_from(_LEVELS + (0.05, 0.3, 0.6)), min_size=1,
+                     max_size=6))
+def test_sweep_of_censored_vector_matches_full(data, n, level, grid):
+    # a censored draw is the full vector with +inf above the level: every
+    # p <= level sees the same graph
+    x = np.array(data.draw(st.lists(st.sampled_from(_LEVELS + (0.9,)),
+                                    min_size=edge_count(n),
+                                    max_size=edge_count(n))))
+    ps = [p for p in grid if p <= level] or [level]
+    censored = np.where(x <= level, x, np.inf)
+    assert threshold_sweep(censored, n, ps) == threshold_sweep(x, n, ps)
 
 
 def test_sweep_validation():

@@ -343,6 +343,27 @@ def test_aspect_ratio_metadata():
     assert mixed.aspect_ratio() == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("component", [
+    Linear(0.7), Power(1.3, 2.5), Cap(2.0),
+    PiecewiseLinearConvex([(0, 0), (1, 0.5), (2, 2)]),
+], ids=["linear", "power", "cap", "pwl"])
+def test_uniform_spec_arrays_equal_per_edge_build(component):
+    shared = GobSpec(9, component)
+    listed = GobSpec(9, [component] * 36)
+    assert shared.uniform and not listed.uniform
+    names = ("a", "_lin_idx", "_lin_inv", "_pow_idx", "_pow_inv", "_pow_q",
+             "_pow_q1", "_pow_dinv", "_cap_idx", "_cap_a")
+    for name in names:
+        a, b = getattr(shared, name, None), getattr(listed, name, None)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+        else:
+            assert a == b, name
+    assert shared._pwl == listed._pwl
+    assert shared.components == listed.components
+
+
 def test_component_count_must_match():
     with pytest.raises(ValueError):
         GobSpec(4, [Linear(1.0)] * 5)

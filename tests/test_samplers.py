@@ -5,8 +5,10 @@ from scipy import special, stats
 from gobgraph import (Cap, ExponentialDecay, GobSpec, Linear, PowerDecay,
                       Power, SamplerConfig, exact_twin, hit_and_run,
                       ks_critical, make_sampler, sample_cube, sample_lq_orthant,
-                      sample_shared_scale, sample_simplex, start_point,
-                      substream, validate_sampler)
+                      sample_shared_scale, sample_simplex,
+                      sample_simplex_censored, start_point, substream,
+                      validate_sampler)
+from gobgraph import samplers
 from gobgraph.samplers import _BLOCK_BYTES, _draw_on_chord, draw_blocks
 
 
@@ -82,6 +84,77 @@ def test_shared_scale_range_and_positive_correlation():
     assert np.all((0 <= X) & (X <= 1))
     corr = np.corrcoef(X[:, 0], X[:, 1])[0, 1]
     assert corr > 0.3
+
+
+# ---------------------------------------------------------------------------
+# censored simplex draws
+
+_CENSOR_N, _CENSOR_D = 12, 66
+# per-edge coefficients over [0.5, 2]: edges 0 and 1 hold the extremes
+_EDGE_COEFFS = np.concatenate([[2.0, 0.5], np.linspace(0.6, 1.9, _CENSOR_D - 2)])
+
+
+def _censored_vs_dense(coeffs, level, reps=20_000):
+    """Two-sample KS p-values, censored against dense draws, of per-row
+    statistics (iid across rows): the count of coordinates at or below
+    the level, their sum, and edges 0 and 1 where kept."""
+    A = sample_simplex_censored(_CENSOR_N, coeffs, level, _stream(40), reps)
+    B = sample_simplex(_CENSOR_N, np.broadcast_to(coeffs, (_CENSOR_D,)),
+                       _stream(41), reps)
+    assert A.shape == B.shape == (reps, _CENSOR_D)
+    assert np.all((A <= level) | (A == np.inf))
+    kept_a, kept_b = A <= level, B <= level
+    stats_a = [kept_a.sum(axis=1), np.where(kept_a, A, 0.0).sum(axis=1),
+               A[kept_a[:, 0], 0], A[kept_a[:, 1], 1]]
+    stats_b = [kept_b.sum(axis=1), np.where(kept_b, B, 0.0).sum(axis=1),
+               B[kept_b[:, 0], 0], B[kept_b[:, 1], 1]]
+    return [stats.ks_2samp(a, b).pvalue for a, b in zip(stats_a, stats_b)]
+
+
+@pytest.mark.parametrize("coeffs", [1.0, _EDGE_COEFFS], ids=["uniform", "per_edge"])
+def test_censored_simplex_matches_dense(coeffs):
+    # the level keeps about a third of the 66 coordinates
+    assert min(_censored_vs_dense(coeffs, 0.006)) > 1e-3
+
+
+@pytest.mark.parametrize("coeffs", [1.0, _EDGE_COEFFS], ids=["uniform", "per_edge"])
+@pytest.mark.parametrize("sigmas", [0.0, -2.0, -1e9])
+def test_censored_simplex_fallback_matches_dense(monkeypatch, coeffs, sigmas):
+    # a low split sends some (0.0), nearly all (-2.0) or every (-1e9, the
+    # split clamps to 0) draw down the exact-excess path, with coordinates
+    # above the split that are kept
+    monkeypatch.setattr(samplers, "_SPLIT_SIGMAS", sigmas)
+    assert min(_censored_vs_dense(coeffs, 0.006)) > 1e-3
+
+
+def test_censored_simplex_zero_count_and_arguments():
+    probed, fresh = _stream(42), _stream(42)
+    empty = sample_simplex_censored(5, 1.0, 0.1, probed, 0)
+    assert empty.shape == (0, 10)
+    assert np.array_equal(sample_simplex_censored(5, 1.0, 0.1, probed, 2),
+                          sample_simplex_censored(5, 1.0, 0.1, fresh, 2))
+    sampler = make_sampler(GobSpec(5, Linear(1.0)),
+                           SamplerConfig(method="exact_simplex", censor_above=0.1))
+    probed, fresh = _stream(43), _stream(43)
+    assert sampler(probed, 0).shape == (0, 10)
+    assert np.array_equal(sampler(probed, 2), sampler(fresh, 2))
+    with pytest.raises(ValueError):
+        sample_simplex_censored(3, np.array([1.0, 0.0, 1.0]), 0.1, _stream(), 1)
+    with pytest.raises(ValueError):
+        sample_simplex_censored(3, 1.0, 0.0, _stream(), 1)
+    with pytest.raises(ValueError):
+        SamplerConfig(method="exact_simplex", censor_above=-0.5)
+
+
+def test_censor_level_ignored_by_other_methods():
+    cases = [(GobSpec(4, Cap(1.0)), "exact_cube"),
+             (GobSpec(4, Power(1.0, 2.0)), "exact_lq"),
+             (GobSpec(4, Linear(1.0)), "hit_and_run")]
+    for spec, method in cases:
+        plain = make_sampler(spec, SamplerConfig(method=method, burn_in=20))
+        censored = make_sampler(spec, SamplerConfig(method=method, burn_in=20,
+                                                    censor_above=0.01))
+        assert np.array_equal(plain(_stream(44), 5), censored(_stream(44), 5))
 
 
 # ---------------------------------------------------------------------------
