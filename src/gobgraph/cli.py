@@ -23,7 +23,7 @@ from .experiments import (connectivity_scan, er_connectivity_oracle, giant_scan,
                           threshold_locator)
 from .report import emit_csv, emit_plotdata
 from .rng import MAX_SEED, substream
-from .samplers import make_sampler, validate_sampler
+from .samplers import draw_blocks, make_sampler, validate_sampler
 from .edges import edge_pairs
 
 EXIT_OK = 0
@@ -116,18 +116,20 @@ def _maybe_validate(cfg, spec, seed, force, index):
 
 
 def _cmd_sample(args):
+    """Write `--count` draws to samples.dat, one `draw_blocks` block at a
+    time, so memory stays bounded however many draws are asked for."""
     cfg, seed = _load(args)
     spec = _single_spec(cfg)
     sampler = make_sampler(spec, cfg.sampler)
     stream = substream(seed, (_TAG_SAMPLE,))
-    X = sampler(stream, args.count)
     _write_manifest(args.out, "sample", cfg, seed)
     path = os.path.join(args.out, "samples.dat")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# master_seed={seed} config_hash={config_hash(cfg, seed)}\n")
         fh.write(f"# n={spec.n} dim={spec.dim} count={args.count}\n")
-        for row in X:
-            fh.write(" ".join(format(v, ".10g") for v in row) + "\n")
+        for block in draw_blocks(sampler, stream, args.count, spec.dim):
+            for row in block:
+                fh.write(" ".join(format(v, ".10g") for v in row) + "\n")
     print(f"wrote {args.count} draws to {path}")
     return EXIT_OK
 

@@ -170,15 +170,14 @@ class PiecewiseLinearConvex:
 
 
 # ---------------------------------------------------------------------------
-# radial densities h(sum f_e(x_e)) on the ball (Indicator = uniform law)
+# radial densities h(sum f_e(x_e)) on the ball (Indicator = uniform law);
+# `weight` takes and returns a Python float, the sampler's hot path
 
 class Indicator:
     """h = 1 on [0, 1]: the uniform law on the ball."""
 
     def weight(self, g):
-        g = np.asarray(g, dtype=float)
-        out = np.where(g <= 1.0 + MEMBERSHIP_TOL, 1.0, 0.0)
-        return out if out.ndim else float(out)
+        return 1.0 if g <= 1.0 + MEMBERSHIP_TOL else 0.0
 
     def __repr__(self):
         return "Indicator()"
@@ -193,11 +192,9 @@ class ExponentialDecay:
         self.rate = float(rate)
 
     def weight(self, g):
-        g = np.asarray(g, dtype=float)
-        with np.errstate(over="ignore"):
-            out = np.exp(-self.rate * np.minimum(g, 700.0 / self.rate))
-        out = np.where(np.isfinite(g), out, 0.0)
-        return out if out.ndim else float(out)
+        if not math.isfinite(g):
+            return 0.0
+        return math.exp(-self.rate * min(g, 700.0 / self.rate))
 
     def __repr__(self):
         return f"ExponentialDecay(rate={self.rate})"
@@ -212,10 +209,8 @@ class PowerDecay:
         self.exponent = float(exponent)
 
     def weight(self, g):
-        g = np.asarray(g, dtype=float)
-        base = np.clip(1.0 - np.where(np.isfinite(g), g, INF), 0.0, None)
-        out = base ** self.exponent
-        return out if out.ndim else float(out)
+        base = max(1.0 - g, 0.0) if math.isfinite(g) else 0.0
+        return base ** self.exponent
 
     def __repr__(self):
         return f"PowerDecay(exponent={self.exponent})"
@@ -301,28 +296,25 @@ class GobSpec:
             self._cap_a = per_edge(cap, "a")
         self._pwl = [(k, self.components[k]) for k in pwl]
 
+    def __reduce__(self):
+        # rebuild from the constructor's arguments: a uniform spec pickles
+        # in a few hundred bytes, not as its O(d) per-edge arrays
+        comps = self.components[0] if self.uniform else self.components
+        return type(self), (self.n, comps, self.radial_density)
+
     def distinct_components(self):
         """The shared component of a uniform spec, else every component."""
         return self.components[:1] if self.uniform else self.components
 
     # -- geometric queries --------------------------------------------------
 
-    def aspect_ratio(self):
-        """max extent / min extent (recorded as metadata, never enforced)."""
-        return float(self.a.max() / self.a.min())
-
-    def m_bound(self):
-        """Upper bound max_e a_e^2 for the conditional second moment."""
-        return float(np.max(self.a) ** 2)
-
     def total(self, x):
         """sum_e f_e(x_e); saturates at +inf."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected shape ({self.dim},), got {x.shape}")
-        if self._cap_idx is not None:
-            if np.any(x[self._cap_idx] > self._cap_a):
-                return INF
+        if self._cap_idx is not None and (x[self._cap_idx] > self._cap_a).any():
+            return INF
         return self.total_and_slope(x)[0]
 
     def total_and_slope(self, y, v=None):
@@ -392,21 +384,22 @@ class GobSpec:
 
     def strictly_inside(self, x, margin=MEMBERSHIP_TOL):
         x = np.asarray(x, dtype=float)
-        if np.any(x <= 0):
+        if not x.min() > 0:
             return False
-        if self._cap_idx is not None and np.any(x[self._cap_idx] >= self._cap_a):
+        if self._cap_idx is not None and (x[self._cap_idx] >= self._cap_a).any():
             return False
         return self.total(x) < 1.0 - margin
 
     def chord(self, x, u, tol=CHORD_TOL):
         """Maximal interval [t_lo, t_hi] with x + t*u inside ball and orthant.
 
-        Requires x strictly interior; then t_lo < 0 < t_hi.  Endpoints are
-        exact when all non-cap components are linear.  Otherwise each one is
-        found by Newton's method on phi(t) = G(x + t*u) - 1, started at the
-        far end of the coordinate box [0, a], which brackets the ball: phi
-        is convex, so from a point where phi > 0 the iterates fall
-        monotonically to the root without passing it, and need no
+        Requires x strictly interior; then t_lo < 0 < t_hi.  One pass of
+        `box_bracket` gives the limits of the coordinate box [0, a] in both
+        directions, which bracket the ball.  Endpoints are exact when all
+        non-cap components are linear.  Otherwise each one is found by
+        Newton's method on phi(t) = G(x + t*u) - 1, started at the box
+        limit: phi is convex, so from a point where phi > 0 the iterates
+        fall monotonically to the root without passing it, and need no
         bisection fallback.  Iteration stops after the first step of at
         most `tol`; Newton's quadratic convergence leaves the endpoint far
         closer to the boundary than that.  A search that has not converged
@@ -416,40 +409,33 @@ class GobSpec:
         u = np.asarray(u, dtype=float)
         if x.shape != (self.dim,) or u.shape != (self.dim,):
             raise ValueError("dimension mismatch")
-        if not np.any(u):
+        if not u.any():
             raise ValueError("direction must be nonzero")
         if not self.strictly_inside(x):
             raise ValueError("chord requires a strictly interior start point")
 
-        linear_only = self._pow_idx is None and not self._pwl
-        g0 = self.total(x) if linear_only else None
-
-        t_hi = self._ray_limit(x, u, tol, linear_only, g0)
-        t_lo = -self._ray_limit(x, -u, tol, linear_only, g0)
-        return t_lo, t_hi
-
-    def _ray_limit(self, x, v, tol, linear_only, g0):
-        # coordinate box [0, a] bounds the ball, so it brackets the endpoint
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            pos = v > 0
-            neg = v < 0
-            hi = INF
-            if np.any(pos):
-                hi = min(hi, float(np.min((self.a[pos] - x[pos]) / v[pos])))
-            if np.any(neg):
-                hi = min(hi, float(np.min(x[neg] / -v[neg])))
-        if not np.isfinite(hi):
+        lo, hi = box_bracket(x, u, self.a)
+        if not (lo < INF and hi < INF):
             raise RuntimeError("ray is unbounded; ball extents should prevent this")
 
-        if linear_only:
-            slope = 0.0
+        if self._pow_idx is None and not self._pwl:
+            # G is affine along the line: G(x + t*u) = G(x) + t*s
+            s = 0.0
             if self._lin_idx is not None:
-                slope = float(v[self._lin_idx] @ self._lin_inv)
-            if slope > 0:
-                hi = min(hi, (1.0 - g0) / slope)
-            return max(hi, 0.0)
+                s = float(u[self._lin_idx] @ self._lin_inv)
+            if s > 0:
+                hi = min(hi, (1.0 - self.total(x)) / s)
+            elif s < 0:
+                lo = min(lo, (1.0 - self.total(x)) / -s)
+            return -max(lo, 0.0), max(hi, 0.0)
 
-        t = hi
+        t_hi = self._newton_limit(x, u, hi, tol)
+        t_lo = -self._newton_limit(x, -u, lo, tol)
+        return t_lo, t_hi
+
+    def _newton_limit(self, x, v, t, tol):
+        # sup{t >= 0 : G(x + t*v) <= 1}, by Newton's method from the box
+        # limit t, where G >= 1
         for _ in range(NEWTON_STEPS):
             y = x + t * v
             np.maximum(y, 0.0, out=y)
@@ -466,3 +452,22 @@ class GobSpec:
         raise RuntimeError(
             f"Newton chord search did not converge in {NEWTON_STEPS} steps "
             f"(t={t!r}, G-1={excess!r}, slope={slope!r})")
+
+
+def box_bracket(x, u, a):
+    """Limits (lo, hi) >= 0 with x + t*u in the box [0, a] for t in [-lo, hi].
+
+    With A = (a - x)/u and B = -x/u, coordinate e bounds the forward
+    step by max(A_e, B_e) (the face u_e points to) and the backward step
+    by max(-A_e, -B_e).  A zero u_e makes A_e and B_e infinite with
+    opposite signs, so both maxima are +inf, or makes one of them nan
+    (x_e at 0 or a_e), which the nan-skipping minimum drops: either way
+    the coordinate bounds neither step.  Each limit equals the
+    per-direction quotient bit for bit, since -x/u == x/(-u) in IEEE
+    arithmetic.  x must be finite and lie in [0, a].
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        A = (a - x) / u
+        B = -x / u
+    return (float(np.fmin.reduce(np.maximum(-A, -B))),
+            float(np.fmin.reduce(np.maximum(A, B))))

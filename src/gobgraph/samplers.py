@@ -4,17 +4,21 @@ Exact samplers cover the cube (all-Cap), simplex (all-Linear) and
 scaled l_q orthant (all-Power) special cases; hit-and-run covers the
 general ball, including radial densities h(sum f_e(x_e)) restricted to
 the ball.  Each hit-and-run step finds its chord with `GobSpec.chord`
-(closed form, or Newton's method) and draws the point on it exactly:
+(one pass of `orlicz.box_bracket` for both coordinate-box limits, then a
+closed form or Newton's method) and draws the point on it exactly:
 uniformly under the Indicator density, by rejection from the uniform
-law otherwise.
+law otherwise, with the radial weight evaluated on Python floats.
 
 Bulk draws go through `draw_blocks`, which asks a sampler for at most
-`_BLOCK_BYTES` of float64 coordinates per call, so the estimators and the
-scan pilot hold one block at a time however many draws they need.  The
-block's row count depends on the dimension alone.  The exact samplers draw
-row after row from the stream, so their blocks concatenate to the same
-values as one call; hit-and-run starts a new chain, with its own burn-in,
-on every call, so a draw larger than one block runs one chain per block.
+`_BLOCK_BYTES` of float64 coordinates per call, so the estimators, the
+scan pilot and `gobgraph sample` hold one block at a time however many
+draws they need.  The block's row count depends on the dimension alone.
+The cube and simplex samplers draw row after row from the stream, so
+their blocks concatenate to the same values as one call; `exact_lq` draws
+all of a call's gammas before its exponentials, so beyond one block its
+values differ from one call's (the law is the same).  Hit-and-run starts
+a new chain, with its own burn-in, on every call, so a draw larger than
+one block runs one chain per block.
 A zero-count draw returns an empty (0, d) array and consumes nothing
 from the stream, for every method.
 
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edges import edge_count
-from .orlicz import Cap, GobSpec, Indicator, Linear, Power
+from .orlicz import Cap, GobSpec, Indicator, Linear, Power, box_bracket
 
 _BLOCK_BYTES = 8 << 20  # float64 coordinates per `draw_blocks` call
 # the censored simplex draw splits the exponentials at
@@ -270,7 +274,7 @@ def hit_and_run(spec, cfg, stream, count):
             t = stream.uniform(t_lo, t_hi)
         else:
             t = _draw_on_chord(spec, x, u, t_lo, t_hi, stream)
-        x = np.clip(x + t * u, 0.0, None)
+        x = np.maximum(x + t * u, 0.0)
         if step >= burn and (step - burn) % thin == thin - 1:
             out[k] = x
             k += 1
@@ -281,8 +285,9 @@ def _hit_and_run_linear(spec, x, stream, count, burn, thin):
     """Uniform-law chain with analytic chords (linear/cap components only).
 
     The constraint sum is affine along any line, so both chord endpoints
-    come from closed forms; the running sum g is updated incrementally
-    and refreshed periodically against float drift.
+    come from closed forms: the box limits of `box_bracket`, cut by the
+    level set of the sum.  The running sum g is updated incrementally and
+    refreshed periodically against float drift.
     """
     d = spec.dim
     a = spec.a
@@ -294,31 +299,29 @@ def _hit_and_run_linear(spec, x, stream, count, burn, thin):
     k = 0
     total_steps = burn + count * thin
     block = 4096  # RNG draws come in blocks to cut per-step overhead
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for step in range(total_steps):
-            j = step % block
-            if j == 0:
-                m = min(block, total_steps - step)
-                normals = stream.standard_normal((m, d))
-                uniforms = stream.random(m)
-            u = normals[j]
-            u = u / np.sqrt(u @ u)
-            s = u @ w
-            hi = np.nanmin(np.where(u > 0, (a - x) / u, x / -u))
-            lo = np.nanmin(np.where(u < 0, (a - x) / -u, x / u))
-            if s > 0:
-                hi = min(hi, (1.0 - g) / s)
-            elif s < 0:
-                lo = min(lo, (1.0 - g) / -s)
-            t = -lo + uniforms[j] * (hi + lo)
-            x = x + t * u
-            np.maximum(x, 0.0, out=x)
-            g += t * s
-            if step % 1024 == 1023:
-                g = spec.total(x)
-            if step >= burn and (step - burn) % thin == thin - 1:
-                out[k] = x
-                k += 1
+    for step in range(total_steps):
+        j = step % block
+        if j == 0:
+            m = min(block, total_steps - step)
+            normals = stream.standard_normal((m, d))
+            uniforms = stream.random(m)
+        u = normals[j]
+        u = u / np.sqrt(u @ u)
+        s = u @ w
+        lo, hi = box_bracket(x, u, a)
+        if s > 0:
+            hi = min(hi, (1.0 - g) / s)
+        elif s < 0:
+            lo = min(lo, (1.0 - g) / -s)
+        t = -lo + uniforms[j] * (hi + lo)
+        x = x + t * u
+        np.maximum(x, 0.0, out=x)
+        g += t * s
+        if step % 1024 == 1023:
+            g = spec.total(x)
+        if step >= burn and (step - burn) % thin == thin - 1:
+            out[k] = x
+            k += 1
     return out
 
 

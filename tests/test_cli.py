@@ -10,14 +10,15 @@ import pytest
 import yaml
 
 import gobgraph
-from gobgraph import cli
+from gobgraph import cli, samplers
 from gobgraph.cli import main
 from gobgraph.config import (ConfigError, build_spec, config_hash, n_list,
                              normalized, parse_config)
 from gobgraph.experiments import er_connectivity_oracle
 from gobgraph.report import CSV_HEADER, emit_csv, emit_plotdata
 from gobgraph.experiments import ScanResult, ScanRow
-from gobgraph.samplers import ValidationReport
+from gobgraph.rng import substream
+from gobgraph.samplers import ValidationReport, make_sampler
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -262,6 +263,35 @@ def test_cli_sample_and_moments(tmp_path):
     lines = (out2 / "moments.csv").read_text().splitlines()
     assert lines[0] == "edge_i,edge_j,second_moment,stderr"
     assert len(lines) == 7
+
+
+@pytest.mark.parametrize("family", ["simplex", "cube"])
+def test_cli_sample_same_bytes_across_blocks(tmp_path, monkeypatch, family):
+    # `sample` writes one draw_blocks block at a time; an exact sampler's
+    # blocks concatenate to one draw of all the rows
+    cfg = _write_cfg(tmp_path, f"model: {{family: {family}, n: 4}}\n"
+                               "sampler: {seed: 3}\n")
+    whole, blocked = tmp_path / "whole", tmp_path / "blocked"
+    assert main(["sample", "--config", cfg, "--out", str(whole),
+                 "--count", "20"]) == 0
+    monkeypatch.setattr(samplers, "_BLOCK_BYTES", 8 * 6 * 7)  # 7 rows at d = 6
+    calls = []
+
+    def recording(spec, sampler_cfg):
+        sampler = make_sampler(spec, sampler_cfg)
+        return lambda stream, count: calls.append(count) or sampler(stream, count)
+
+    monkeypatch.setattr(cli, "make_sampler", recording)
+    assert main(["sample", "--config", cfg, "--out", str(blocked),
+                 "--count", "20"]) == 0
+    assert calls == [7, 7, 6]
+    text = (whole / "samples.dat").read_text()
+    assert (blocked / "samples.dat").read_text() == text
+    parsed = parse_config(Path(cfg).read_text())
+    X = make_sampler(build_spec(parsed.model, 4), parsed.sampler)(
+        substream(3, (cli._TAG_SAMPLE,)), 20)
+    rows = [" ".join(format(v, ".10g") for v in row) for row in X]
+    assert text.splitlines()[2:] == rows
 
 
 def test_cli_nc_test(tmp_path):

@@ -1,11 +1,15 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gobgraph import Cap, GobSpec, Linear, PiecewiseLinearConvex, Power, orlicz
+from gobgraph import (Cap, ExponentialDecay, GobSpec, Indicator, Linear,
+                      PiecewiseLinearConvex, Power, PowerDecay, orlicz)
+from gobgraph.orlicz import box_bracket
+from strategies import components
 
 INF = math.inf
 
@@ -258,28 +262,6 @@ def test_chord_endpoints_property(spec):
             assert outside or spec.membership(np.clip(y, 0, None)) == "boundary"
 
 
-def _pwl_from_segments(segments):
-    # (width, slope) pairs; sorting the slopes makes the graph convex
-    slopes = sorted(slope for _, slope in segments)
-    slopes[-1] += 0.1  # a positive final slope keeps the extent finite
-    pts, t, v = [(0.0, 0.0)], 0.0, 0.0
-    for (width, _), slope in zip(segments, slopes):
-        t, v = t + width, v + width * slope
-        pts.append((t, v))
-    return PiecewiseLinearConvex(pts)
-
-
-_scale = st.floats(0.2, 2.0)
-_components = st.one_of(
-    st.builds(Linear, _scale),
-    st.builds(Power, _scale, st.floats(1.0, 4.0)),
-    st.builds(Cap, _scale),
-    st.builds(_pwl_from_segments,
-              st.lists(st.tuples(st.floats(0.05, 1.0), st.floats(0.0, 3.0)),
-                       min_size=1, max_size=4)),
-)
-
-
 def _bisect_ray(spec, x, v, tol=1e-14):
     # independent oracle: sup{t >= 0 : x + t*v in the box and the ball}
     def feasible(t):
@@ -301,7 +283,7 @@ def _bisect_ray(spec, x, v, tol=1e-14):
        frac=st.floats(0.05, 0.95))
 def test_chord_newton_matches_bisection(data, n, frac):
     d = n * (n - 1) // 2
-    comps = data.draw(st.lists(_components, min_size=d, max_size=d))
+    comps = data.draw(st.lists(components, min_size=d, max_size=d))
     if all(isinstance(c, (Linear, Cap)) for c in comps):
         comps[0] = Power(1.0, 2.0)  # so the Newton path runs
     spec = GobSpec(n, comps)
@@ -315,6 +297,78 @@ def test_chord_newton_matches_bisection(data, n, frac):
     t_lo, t_hi = spec.chord(x, u)
     assert t_hi == pytest.approx(_bisect_ray(spec, x, u), abs=1e-9)
     assert t_lo == pytest.approx(-_bisect_ray(spec, x, -u), abs=1e-9)
+
+
+def _masked_box_limit(x, v, a):
+    # the former per-direction bracket, kept as the oracle for box_bracket
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pos, neg = v > 0, v < 0
+        hi = INF
+        if np.any(pos):
+            hi = min(hi, float(np.min((a[pos] - x[pos]) / v[pos])))
+        if np.any(neg):
+            hi = min(hi, float(np.min(x[neg] / -v[neg])))
+    return hi
+
+
+_coord = st.floats(0.0, 1.0)
+_direction = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1.0, 1.0),
+                       st.floats(-1e-300, 1e-300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), d=st.integers(1, 12))
+def test_box_bracket_matches_masked_formula(data, d):
+    a = np.array(data.draw(st.lists(st.floats(0.1, 3.0), min_size=d, max_size=d)))
+    x = a * np.array(data.draw(st.lists(_coord, min_size=d, max_size=d)))
+    u = np.array(data.draw(st.lists(_direction, min_size=d, max_size=d)))
+    assume(np.any(u != 0))
+    lo, hi = box_bracket(x, u, a)
+    assert (lo, hi) == (_masked_box_limit(x, -u, a), _masked_box_limit(x, u, a))
+    if np.all(u != 0):
+        # the linear chain's former formula, bit for bit
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            old_hi = np.nanmin(np.where(u > 0, (a - x) / u, x / -u))
+            old_lo = np.nanmin(np.where(u < 0, (a - x) / -u, x / u))
+        assert (lo, hi) == (old_lo, old_hi)
+
+
+def test_box_bracket_ignores_zero_direction_coordinates():
+    # x/-0.0 is -inf, which the former nanmin formula picked as the limit;
+    # at a face of the box (x_e = 0 or a_e) a zero u_e gives 0/0 = nan
+    a = np.ones(5)
+    x = np.array([0.5, 0.5, 0.5, 0.0, 1.0])
+    u = np.array([1.0, 0.0, -0.0, 0.0, -0.0])
+    assert box_bracket(x, u, a) == (0.5, 0.5)
+
+
+def _old_weight(density, g):
+    # the former numpy expressions, kept as the oracle for the float weights
+    g = np.asarray(g, dtype=float)
+    if isinstance(density, Indicator):
+        return np.where(g <= 1.0 + orlicz.MEMBERSHIP_TOL, 1.0, 0.0)
+    if isinstance(density, ExponentialDecay):
+        with np.errstate(over="ignore"):
+            out = np.exp(-density.rate * np.minimum(g, 700.0 / density.rate))
+        return np.where(np.isfinite(g), out, 0.0)
+    base = np.clip(1.0 - np.where(np.isfinite(g), g, INF), 0.0, None)
+    return base ** density.exponent
+
+
+_WEIGHT_GRID = np.concatenate([
+    [0.0, 1.0, 1.0 + 1e-13, 1.0 + 1e-11, 1.5, 2.0, 10.0, 700.0, 1e6, INF],
+    np.linspace(0.0, 3.0, 601), np.geomspace(1e-12, 1.0, 200)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(density=st.one_of(
+    st.just(Indicator()),
+    st.builds(ExponentialDecay, st.floats(0.01, 50.0)),
+    st.builds(PowerDecay, st.floats(0.0, 8.0) | st.sampled_from([0.0, 1.0, 2.0]))))
+def test_float_weight_matches_numpy_expression(density):
+    new = np.array([density.weight(float(g)) for g in _WEIGHT_GRID])
+    assert all(type(density.weight(float(g))) is float for g in _WEIGHT_GRID[:10])
+    np.testing.assert_array_max_ulp(new, _old_weight(density, _WEIGHT_GRID), maxulp=1)
 
 
 def test_chord_newton_cap_raises(monkeypatch):
@@ -331,16 +385,18 @@ def test_chord_newton_cap_raises(monkeypatch):
 # ---------------------------------------------------------------------------
 # ball-level queries
 
-def test_m_bound_examples():
-    assert GobSpec(3, Power(a=1.0, q=2.0)).m_bound() == pytest.approx(1.0)
-    mixed = GobSpec(3, [Linear(0.5), Power(a=2.0, q=3.0), Linear(0.5)])
-    assert mixed.m_bound() == pytest.approx(4.0)
-    assert GobSpec(3, Cap(3.0)).m_bound() == pytest.approx(9.0)
+_SPEC_ARRAYS = ("a", "_lin_idx", "_lin_inv", "_pow_idx", "_pow_inv", "_pow_q",
+                "_pow_q1", "_pow_dinv", "_cap_idx", "_cap_a")
 
 
-def test_aspect_ratio_metadata():
-    mixed = GobSpec(3, [Linear(0.5), Power(a=2.0, q=3.0), Linear(0.5)])
-    assert mixed.aspect_ratio() == pytest.approx(4.0)
+def _assert_same_arrays(shared, listed):
+    for name in _SPEC_ARRAYS:
+        a, b = getattr(shared, name, None), getattr(listed, name, None)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+        else:
+            assert a == b, name
 
 
 @pytest.mark.parametrize("component", [
@@ -351,17 +407,35 @@ def test_uniform_spec_arrays_equal_per_edge_build(component):
     shared = GobSpec(9, component)
     listed = GobSpec(9, [component] * 36)
     assert shared.uniform and not listed.uniform
-    names = ("a", "_lin_idx", "_lin_inv", "_pow_idx", "_pow_inv", "_pow_q",
-             "_pow_q1", "_pow_dinv", "_cap_idx", "_cap_a")
-    for name in names:
-        a, b = getattr(shared, name, None), getattr(listed, name, None)
-        if isinstance(b, np.ndarray):
-            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-            assert a.tobytes() == b.tobytes(), name
-        else:
-            assert a == b, name
+    _assert_same_arrays(shared, listed)
     assert shared._pwl == listed._pwl
     assert shared.components == listed.components
+
+
+def test_uniform_spec_pickles_small():
+    # a scan sends its spec to every worker chunk; at n = 2000 the per-edge
+    # arrays alone are tens of MB
+    assert len(pickle.dumps(GobSpec(2000, Linear(1.0)))) < 1000
+
+
+@pytest.mark.parametrize("spec", [
+    GobSpec(9, Linear(0.7)),
+    GobSpec(9, Power(1.3, 2.5), radial_density=ExponentialDecay(1.5)),
+    GobSpec(4, [Linear(1.0), Power(2.0, 3.0), Cap(0.5),
+                PiecewiseLinearConvex([(0, 0), (1, 0.5), (2, 2)]),
+                Linear(0.5), Power(1.0, 1.5)],
+            radial_density=PowerDecay(2.0)),
+], ids=["uniform", "uniform_radial", "mixed"])
+def test_unpickled_spec_equals_original(spec):
+    copy = pickle.loads(pickle.dumps(spec))
+    assert (copy.n, copy.dim, copy.uniform) == (spec.n, spec.dim, spec.uniform)
+    _assert_same_arrays(copy, spec)
+    assert repr(copy.components) == repr(spec.components)
+    assert repr(copy.radial_density) == repr(spec.radial_density)
+    assert [k for k, _ in copy._pwl] == [k for k, _ in spec._pwl]
+    x = spec.a / (2.0 * spec.dim)
+    u = np.linspace(-1.0, 1.0, spec.dim) + 0.1
+    assert copy.chord(x, u) == spec.chord(x, u)
 
 
 def test_component_count_must_match():

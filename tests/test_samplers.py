@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
-from gobgraph import (Cap, ExponentialDecay, GobSpec, Linear, PowerDecay,
-                      Power, SamplerConfig, exact_twin, hit_and_run,
+from gobgraph import (Cap, ExponentialDecay, GobSpec, Indicator, Linear,
+                      PowerDecay, Power, SamplerConfig, exact_twin, hit_and_run,
                       ks_critical, make_sampler, sample_cube, sample_lq_orthant,
                       sample_shared_scale, sample_simplex,
                       sample_simplex_censored, start_point, substream,
                       validate_sampler)
 from gobgraph import samplers
 from gobgraph.samplers import _BLOCK_BYTES, _draw_on_chord, draw_blocks
+from strategies import components
 
 
 def _stream(key=0):
@@ -251,7 +254,8 @@ def test_draw_on_chord_matches_integrated_cdf(density):
     u /= np.linalg.norm(u)
     t_lo, t_hi = spec.chord(x, u)
     ts = np.linspace(t_lo, t_hi, 20001)
-    w = density.weight(spec.total_batch(np.clip(x + np.outer(ts, u), 0.0, None)))
+    g = spec.total_batch(np.clip(x + np.outer(ts, u), 0.0, None))
+    w = np.array([density.weight(v) for v in g.tolist()])
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]))])
     cdf /= cdf[-1]
     stream = _stream(17)
@@ -270,6 +274,30 @@ def test_hit_and_run_radial_law_of_g():
          for k in range(200)]  # independent chains, one draw each
     cdf = lambda g: special.gammainc(shape, rate * g) / special.gammainc(shape, rate)
     assert stats.kstest(G, cdf).pvalue > 1e-3
+
+
+_density = st.one_of(
+    st.just(Indicator()),
+    st.builds(ExponentialDecay, st.floats(0.1, 4.0)),
+    st.builds(PowerDecay, st.floats(0.0, 4.0)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.sampled_from([3, 4, 5]), density=_density,
+       start=st.sampled_from(["origin_nudge", "analytic_center"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_hit_and_run_chain_stays_in_ball(data, n, density, start, seed):
+    # a few hundred steps over random mixed specs: no step raises, and every
+    # retained state lies in the orthant with G <= 1 (caps included)
+    d = n * (n - 1) // 2
+    comps = data.draw(st.lists(components, min_size=d, max_size=d))
+    spec = GobSpec(n, comps, radial_density=density)
+    cfg = SamplerConfig(method="hit_and_run", burn_in=0, thinning=1, start=start)
+    X = hit_and_run(spec, cfg, substream(seed, 0), 300)
+    assert X.shape == (300, d)
+    assert np.all(X >= 0)
+    assert max(spec.total(x) for x in X) <= 1.0 + 1e-9
 
 
 def test_schedule_defaults_and_validation():
