@@ -38,6 +38,8 @@ _TAG_NC = 103
 _TAG_VALIDATE = 104
 _TAG_MARGINAL = 105
 
+_NC_PILOT_DRAWS = 4000  # nc-test sets its thresholds from this many draws
+
 
 class ValidationFailure(Exception):
     pass
@@ -200,12 +202,21 @@ def _cmd_nc_test(args):
         raise ConfigError(f"nc_test.set_size_max must lie in [1, {spec.dim - 1}], "
                           f"got {size_max}")
 
-    pilot = sampler(substream(seed, (_TAG_NC, 0)), 4000)
+    # Every configuration's index sets and quantile levels come first, each
+    # from its own stream; the pilot, on a stream of its own, is then drawn
+    # in blocks keeping only the columns they name, and each test goes on
+    # with its configuration's stream.  The order does not change the draws.
+    streams = [substream(seed, (_TAG_NC, i + 1)) for i in range(n_configs)]
+    picks = [random_nc_indices(stream, spec.dim, size_max, (q_lo, q_hi))
+             for stream in streams]
+    columns = np.unique(np.concatenate([np.concatenate([I, J]) for I, J, _ in picks]))
+    pilot = np.concatenate([
+        X[:, columns] for X in draw_blocks(sampler, substream(seed, (_TAG_NC, 0)),
+                                           _NC_PILOT_DRAWS, spec.dim)])
     reports = []
-    for i in range(n_configs):
-        stream = substream(seed, (_TAG_NC, i + 1))
-        I, J, s, t = random_nc_configuration(
-            stream, pilot, spec.dim, size_max, (q_lo, q_hi))
+    for stream, (I, J, qs) in zip(streams, picks):
+        s, t = nc_thresholds(pilot, np.searchsorted(columns, I),
+                             np.searchsorted(columns, J), qs)
         reports.append(nc_test(sampler, stream, I, J, s, t, reps))
 
     _write_manifest(args.out, "nc-test", cfg, seed)
@@ -224,16 +235,27 @@ def _cmd_nc_test(args):
     return EXIT_OK if not bad else EXIT_VALIDATION
 
 
-def random_nc_configuration(stream, pilot, dim, size_max, q_range):
-    """Random disjoint index sets with quantile-based thresholds."""
+def random_nc_indices(stream, dim, size_max, q_range):
+    """Random disjoint index sets I, J and one quantile level per index."""
     k_i = int(stream.integers(1, size_max + 1))
     k_j = int(stream.integers(1, size_max + 1))
     idx = stream.permutation(dim)[: k_i + k_j]
-    I, J = idx[:k_i], idx[k_i:]
     qs = stream.uniform(q_range[0], q_range[1], size=k_i + k_j)
-    s = np.array([np.quantile(pilot[:, e], q) for e, q in zip(I, qs[:k_i])])
-    t = np.array([np.quantile(pilot[:, e], q) for e, q in zip(J, qs[k_i:])])
-    return I, J, s, t
+    return idx[:k_i], idx[k_i:], qs
+
+
+def nc_thresholds(pilot, cols_i, cols_j, qs):
+    """Thresholds s, t: the pilot's quantiles at levels qs of columns
+    cols_i, then cols_j."""
+    s = np.array([np.quantile(pilot[:, e], q) for e, q in zip(cols_i, qs)])
+    t = np.array([np.quantile(pilot[:, e], q) for e, q in zip(cols_j, qs[len(cols_i):])])
+    return s, t
+
+
+def random_nc_configuration(stream, pilot, dim, size_max, q_range):
+    """Random disjoint index sets with quantile-based thresholds."""
+    I, J, qs = random_nc_indices(stream, dim, size_max, q_range)
+    return (I, J, *nc_thresholds(pilot, I, J, qs))
 
 
 def _cmd_oracle_er(args):

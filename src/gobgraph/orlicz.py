@@ -4,9 +4,12 @@ A ball is the set {x >= 0 : sum_e f_e(x_e) <= 1} for convex nondecreasing
 components f_e with f_e(0) = 0.  Geometric queries (membership, chords,
 per-coordinate extents) back the samplers and experiments.  The sum G and
 its directional slope are evaluated by component kind in one grouped pass
-(`GobSpec.total`, `GobSpec.total_and_slope`); chord endpoints come from a
-closed form when G is affine along lines and from Newton's method on the
-convex map t -> G(x + t*u) otherwise.
+(`GobSpec.total`, `GobSpec.total_and_slope`).  When no component is
+piecewise linear and every Power component has q = 2, G restricted to a
+line is a polynomial of degree at most 2 inside the coordinate box
+(`GobSpec.quadratic`, `GobSpec.line`), and chord endpoints come from the
+quadratic formula; otherwise from Newton's method on the convex map
+t -> G(x + t*u).
 """
 
 import math
@@ -295,6 +298,10 @@ class GobSpec:
         if cap:
             self._cap_a = per_edge(cap, "a")
         self._pwl = [(k, self.components[k]) for k in pwl]
+        # no PWL component and every Power a square: G along any line is
+        # g0 + s*t + A*t^2 inside the coordinate box
+        self.quadratic = not pwl and all(
+            c.q == 2.0 for c in self.distinct_components() if isinstance(c, Power))
 
     def __reduce__(self):
         # rebuild from the constructor's arguments: a uniform spec pickles
@@ -344,6 +351,23 @@ class GobSpec:
                 slope += c.slope(y[k]) * float(v[k])
         return g, slope
 
+    def line(self, x, u):
+        """G along the line x + t*u: (G(x), its slope at t = 0, curvature).
+
+        One `total_and_slope` pass.  On a quadratic spec the curvature is
+        A = sum over the Power coordinates of (u_e/a_e)^2, so that
+        G(x + t*u) = G(x) + slope*t + A*t^2 inside the coordinate box; on
+        every other spec it is None.  x must lie in the orthant and inside
+        every cap.
+        """
+        g, slope = self.total_and_slope(x, u)
+        if not self.quadratic:
+            return g, slope, None
+        if self._pow_idx is None:
+            return g, slope, 0.0
+        w = u[self._pow_idx] * self._pow_inv
+        return g, slope, float(w @ w)
+
     def total_batch(self, X):
         """sum_e f_e(x_e) for each row of an (m, dim) array."""
         X = np.asarray(X, dtype=float)
@@ -382,24 +406,37 @@ class GobSpec:
             return "boundary"
         return "outside"
 
-    def strictly_inside(self, x, margin=MEMBERSHIP_TOL):
-        x = np.asarray(x, dtype=float)
+    def _in_open_box(self, x):
+        # every coordinate positive and strictly below its cap
         if not x.min() > 0:
             return False
-        if self._cap_idx is not None and (x[self._cap_idx] >= self._cap_a).any():
-            return False
-        return self.total(x) < 1.0 - margin
+        return self._cap_idx is None or not (x[self._cap_idx] >= self._cap_a).any()
 
-    def chord(self, x, u, tol=CHORD_TOL):
+    def strictly_inside(self, x, margin=MEMBERSHIP_TOL):
+        x = np.asarray(x, dtype=float)
+        return self._in_open_box(x) and self.total(x) < 1.0 - margin
+
+    def chord(self, x, u, tol=CHORD_TOL, line=None):
         """Maximal interval [t_lo, t_hi] with x + t*u inside ball and orthant.
 
-        Requires x strictly interior; then t_lo < 0 < t_hi.  One pass of
-        `box_bracket` gives the limits of the coordinate box [0, a] in both
-        directions, which bracket the ball.  Endpoints are exact when all
-        non-cap components are linear.  Otherwise each one is found by
-        Newton's method on phi(t) = G(x + t*u) - 1, started at the box
-        limit: phi is convex, so from a point where phi > 0 the iterates
-        fall monotonically to the root without passing it, and need no
+        Requires x strictly interior; then t_lo < 0 < t_hi.  `line` is
+        `self.line(x, u)`, computed here when absent, so a caller that
+        needs G(x) and its slope as well evaluates G at x only once.  One
+        pass of `box_bracket` gives the limits of the coordinate box
+        [0, a] in both directions, which bracket the ball.
+
+        On a quadratic spec G(x + t*u) = g0 + s*t + A*t^2 inside the box,
+        and each endpoint is the root of g0 + s*t + A*t^2 = 1 on its side,
+        in the form free of cancellation (2(1 - g0)/(s + r) or
+        (r - s)/(2A) forward, r = sqrt(s^2 + 4A(1 - g0))), cut by the box
+        limit.  With A = 0 it is (1 - g0)/|s| on the side s points to.
+        Otherwise each endpoint is found by Newton's method on
+        phi(t) = G(x + t*u) - 1, started at the box limit or the root of
+        the tangent g0 + s*t = 1, whichever is nearer.  Where phi <= 0 at
+        the start, that is the box limit and the endpoint.  Otherwise phi,
+        being convex, lies above its tangent, so its root is at or before
+        both starts, and from a point where phi > 0 the iterates fall
+        monotonically to the root without passing it, and need no
         bisection fallback.  Iteration stops after the first step of at
         most `tol`; Newton's quadratic convergence leaves the endpoint far
         closer to the boundary than that.  A search that has not converged
@@ -411,22 +448,32 @@ class GobSpec:
             raise ValueError("dimension mismatch")
         if not u.any():
             raise ValueError("direction must be nonzero")
-        if not self.strictly_inside(x):
+        if not self._in_open_box(x):
+            raise ValueError("chord requires a strictly interior start point")
+        g0, s, curv = self.line(x, u) if line is None else line
+        if not g0 < 1.0 - MEMBERSHIP_TOL:
             raise ValueError("chord requires a strictly interior start point")
 
         lo, hi = box_bracket(x, u, self.a)
         if not (lo < INF and hi < INF):
             raise RuntimeError("ray is unbounded; ball extents should prevent this")
 
-        if self._pow_idx is None and not self._pwl:
-            # G is affine along the line: G(x + t*u) = G(x) + t*s
-            s = 0.0
-            if self._lin_idx is not None:
-                s = float(u[self._lin_idx] @ self._lin_inv)
-            if s > 0:
-                hi = min(hi, (1.0 - self.total(x)) / s)
-            elif s < 0:
-                lo = min(lo, (1.0 - self.total(x)) / -s)
+        room = 1.0 - g0
+        if curv is not None and curv > 0.0:
+            r = math.sqrt(s * s + 4.0 * curv * room)
+            if s >= 0.0:
+                hi = min(hi, 2.0 * room / (s + r))
+                lo = min(lo, (s + r) / (2.0 * curv))
+            else:
+                hi = min(hi, (r - s) / (2.0 * curv))
+                lo = min(lo, 2.0 * room / (r - s))
+        # the root of the tangent g0 + s*t = 1: the endpoint where G is
+        # affine along the line, and at or beyond the endpoint elsewhere
+        elif s > 0:
+            hi = min(hi, room / s)
+        elif s < 0:
+            lo = min(lo, room / -s)
+        if curv is not None:
             return -max(lo, 0.0), max(hi, 0.0)
 
         t_hi = self._newton_limit(x, u, hi, tol)
@@ -434,8 +481,8 @@ class GobSpec:
         return t_lo, t_hi
 
     def _newton_limit(self, x, v, t, tol):
-        # sup{t >= 0 : G(x + t*v) <= 1}, by Newton's method from the box
-        # limit t, where G >= 1
+        # sup{t >= 0 : G(x + t*v) <= 1}, by Newton's method from t, which
+        # is the answer when G <= 1 there and lies beyond it otherwise
         for _ in range(NEWTON_STEPS):
             y = x + t * v
             np.maximum(y, 0.0, out=y)

@@ -3,11 +3,15 @@
 Exact samplers cover the cube (all-Cap), simplex (all-Linear) and
 scaled l_q orthant (all-Power) special cases; hit-and-run covers the
 general ball, including radial densities h(sum f_e(x_e)) restricted to
-the ball.  Each hit-and-run step finds its chord with `GobSpec.chord`
-(one pass of `orlicz.box_bracket` for both coordinate-box limits, then a
-closed form or Newton's method) and draws the point on it exactly:
-uniformly under the Indicator density, by rejection from the uniform
-law otherwise, with the radial weight evaluated on Python floats.
+the ball.  Each hit-and-run step evaluates G and its slope along the new
+direction once, at the current point (`GobSpec.line`), and shares that
+evaluation with the interior check and the chord (`GobSpec.chord`: one
+pass of `orlicz.box_bracket` for both coordinate-box limits, then the
+quadratic formula on quadratic specs or Newton's method) and with the
+draw on the chord.  That draw is exact: uniform under the Indicator
+density, by rejection from the uniform law otherwise, with the radial
+weight evaluated on Python floats; on quadratic specs each proposal reads
+G off the line's polynomial, with no pass over the coordinates.
 
 Bulk draws go through `draw_blocks`, which asks a sampler for at most
 `_BLOCK_BYTES` of float64 coordinates per call, so the estimators, the
@@ -226,7 +230,7 @@ def start_point(spec, mode):
     raise ValueError(f"unknown start mode {mode!r}")
 
 
-def _draw_on_chord(spec, x, u, t_lo, t_hi, stream):
+def _draw_on_chord(spec, x, u, t_lo, t_hi, stream, line=None):
     """Exact draw of t from the density prop. to h(G(x + t*u)) on the chord.
 
     Rejection from the uniform law on [t_lo, t_hi] (Devroye, Non-Uniform
@@ -236,13 +240,20 @@ def _draw_on_chord(spec, x, u, t_lo, t_hi, stream):
     has h(G(x + t*u)) <= h(l), and a proposal t is accepted with
     probability h(G(x + t*u)) / h(l).  x is strictly interior, so
     G(x) < 1 and h(l) > 0 for both ExponentialDecay and PowerDecay.
+    `line` is `spec.line(x, u)`, computed here when absent; with its
+    curvature (quadratic specs) G(x + t*u) is the polynomial
+    g0 + t*(slope + t*A), otherwise one `spec.total` per proposal.
     """
     h = spec.radial_density.weight
-    g0, slope = spec.total_and_slope(x, u)
+    g0, slope, curv = spec.line(x, u) if line is None else line
     h_max = h(max(0.0, g0 + min(slope * t_lo, slope * t_hi)))
     while True:
         t = stream.uniform(t_lo, t_hi)
-        if stream.random() * h_max < h(spec.total(np.maximum(x + t * u, 0.0))):
+        if curv is None:
+            g = spec.total(np.maximum(x + t * u, 0.0))
+        else:
+            g = g0 + t * (slope + t * curv)
+        if stream.random() * h_max < h(g):
             return t
 
 
@@ -268,12 +279,13 @@ def hit_and_run(spec, cfg, stream, count):
     total_steps = burn + count * thin
     for step in range(total_steps):
         u = stream.standard_normal(d)
-        u /= np.linalg.norm(u)
-        t_lo, t_hi = spec.chord(x, u)
+        u /= math.sqrt(u @ u)  # the bits of np.linalg.norm(u), without its overhead
+        line = spec.line(x, u)  # the step's one evaluation of G at x
+        t_lo, t_hi = spec.chord(x, u, line=line)
         if uniform_chord:
             t = stream.uniform(t_lo, t_hi)
         else:
-            t = _draw_on_chord(spec, x, u, t_lo, t_hi, stream)
+            t = _draw_on_chord(spec, x, u, t_lo, t_hi, stream, line)
         x = np.maximum(x + t * u, 0.0)
         if step >= burn and (step - burn) % thin == thin - 1:
             out[k] = x

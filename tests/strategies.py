@@ -17,10 +17,11 @@ def pwl_from_segments(segments):
 
 
 _scale = st.floats(0.2, 2.0)
-# one component of a mixed ball: Linear, Power with q in [1, 4], Cap or PWL
+# one component of a mixed ball: Linear, Power with q in [1, 4] (and q = 2,
+# the quadratic case, often), Cap or PWL
 components = st.one_of(
     st.builds(Linear, _scale),
-    st.builds(Power, _scale, st.floats(1.0, 4.0)),
+    st.builds(Power, _scale, st.floats(1.0, 4.0) | st.just(2.0)),
     st.builds(Cap, _scale),
     st.builds(pwl_from_segments,
               st.lists(st.tuples(st.floats(0.05, 1.0), st.floats(0.0, 3.0)),

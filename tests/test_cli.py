@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,69 @@ def test_cli_nc_test(tmp_path):
     assert all(ln.endswith("consistent") for ln in lines[1:])
 
 
+@pytest.mark.parametrize("family", ["cube", "simplex"])
+def test_cli_nc_test_streamed_pilot_matches_whole(tmp_path, monkeypatch, family):
+    # the former order, the whole pilot drawn first, is the oracle: with the
+    # pilot streamed in 7-row blocks every test gets the same sets and
+    # thresholds, and the report keeps its bytes
+    cfg = _write_cfg(tmp_path, f"""\
+        model:
+          family: {family}
+          n: 6
+        sampler:
+          seed: 5
+        nc_test:
+          reps: 10000
+          configurations: 4
+    """)
+    parsed = parse_config(Path(cfg).read_text())
+    spec = build_spec(parsed.model)
+    sampler = make_sampler(spec, parsed.sampler)
+    pilot = sampler(substream(5, (cli._TAG_NC, 0)), cli._NC_PILOT_DRAWS)
+    expected = [cli.random_nc_configuration(substream(5, (cli._TAG_NC, i + 1)),
+                                            pilot, spec.dim, 3, (0.6, 0.95))
+                for i in range(4)]
+    assert main(["nc-test", "--config", cfg, "--out", str(tmp_path / "whole")]) == 0
+
+    seen, inner = [], cli.nc_test
+
+    def logged(sampler, stream, I, J, s, t, reps):
+        seen.append((I, J, s, t))
+        return inner(sampler, stream, I, J, s, t, reps)
+
+    monkeypatch.setattr(cli, "nc_test", logged)
+    monkeypatch.setattr(samplers, "_BLOCK_BYTES", 8 * spec.dim * 7)
+    assert main(["nc-test", "--config", cfg, "--out", str(tmp_path / "blocks")]) == 0
+    assert len(seen) == len(expected)
+    for got, want in zip(seen, expected):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    report = "nc_report.csv"
+    assert ((tmp_path / "blocks" / report).read_bytes()
+            == (tmp_path / "whole" / report).read_bytes())
+
+
+def test_cli_nc_test_pilot_memory_bounded(tmp_path):
+    # n = 60: the whole 4000-row pilot would be 57 MB; the streamed one
+    # holds one block and the chosen columns
+    cfg = _write_cfg(tmp_path, """\
+        model:
+          family: simplex
+          n: 60
+        sampler:
+          seed: 5
+        nc_test:
+          reps: 10000
+          configurations: 2
+    """)
+    tracemalloc.start()
+    try:
+        assert main(["nc-test", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * samplers._BLOCK_BYTES
+
+
 def test_cli_validate_sampler(tmp_path):
     good = _write_cfg(tmp_path, """\
         model:
@@ -479,7 +543,7 @@ def test_cli_internal_value_error_exits_1(tmp_path):
     code = textwrap.dedent(f"""\
         import sys
         from gobgraph import cli, orlicz
-        def chord(self, x, u, tol=None):
+        def chord(self, x, u, tol=None, line=None):
             raise ValueError("injected chord failure")
         orlicz.GobSpec.chord = chord
         sys.exit(cli.main({argv!r}))

@@ -284,12 +284,12 @@ def _bisect_ray(spec, x, v, tol=1e-14):
 def test_chord_newton_matches_bisection(data, n, frac):
     d = n * (n - 1) // 2
     comps = data.draw(st.lists(components, min_size=d, max_size=d))
-    if all(isinstance(c, (Linear, Cap)) for c in comps):
-        comps[0] = Power(1.0, 2.0)  # so the Newton path runs
+    if GobSpec(n, comps).quadratic:
+        comps[0] = Power(1.0, 3.0)  # so the Newton path runs
     spec = GobSpec(n, comps)
+    assert not spec.quadratic
     w = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d)))
-    # scale w * a to the boundary along its ray, then back inside by frac
-    x = frac * _bisect_ray(spec, np.zeros(d), w * spec.a) * w * spec.a
+    x = _interior_point(spec, w, frac)
     u = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
     assume(np.linalg.norm(u) > 1e-3)
     u /= np.linalg.norm(u)
@@ -372,14 +372,132 @@ def test_float_weight_matches_numpy_expression(density):
 
 
 def test_chord_newton_cap_raises(monkeypatch):
-    # an endpoint Newton has not reached within its cap is an error
-    spec = GobSpec(3, Power(1.0, 2.0))
+    # an endpoint Newton has not reached within its cap is an error; q = 3
+    # keeps the spec off the closed form
+    spec = GobSpec(3, Power(1.0, 3.0))
+    assert not spec.quadratic
     x, u = np.full(3, 0.2), np.ones(3) / math.sqrt(3)
     monkeypatch.setattr(orlicz, "NEWTON_STEPS", 1)
     with pytest.raises(RuntimeError, match="Newton"):
         spec.chord(x, u)
     monkeypatch.setattr(orlicz, "NEWTON_STEPS", 100)
-    assert spec.chord(x, u)[1] == pytest.approx(1.0 - 0.2 * math.sqrt(3))
+    # 3 (0.2 + t/sqrt(3))^3 = 1
+    assert spec.chord(x, u)[1] == pytest.approx(math.sqrt(3) * (3 ** (-1 / 3) - 0.2))
+
+
+# one component of a quadratic ball: Linear, Cap or Power with q = 2
+_quadratic_components = st.one_of(
+    st.builds(Linear, st.floats(0.2, 2.0)),
+    st.builds(Cap, st.floats(0.2, 2.0)),
+    st.builds(Power, st.floats(0.2, 2.0), st.just(2.0)),
+)
+
+
+def _interior_point(spec, w, frac):
+    # scale w * a to the boundary along its ray, then back inside by frac
+    return frac * _bisect_ray(spec, np.zeros(spec.dim), w * spec.a) * w * spec.a
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.sampled_from([3, 4]), frac=st.floats(0.05, 0.95),
+       direction=st.sampled_from(["any", "no_power", "downhill", "uphill"]))
+def test_chord_quadratic_matches_bisection(data, n, frac, direction):
+    d = n * (n - 1) // 2
+    comps = data.draw(st.lists(_quadratic_components, min_size=d, max_size=d))
+    spec = GobSpec(n, comps)
+    assert spec.quadratic
+    w = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d)))
+    x = _interior_point(spec, w, frac)
+    u = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+    if direction == "no_power":  # A = 0: the affine case
+        u[[isinstance(c, Power) for c in comps]] = 0.0
+    assume(np.linalg.norm(u) > 1e-3)
+    u /= np.linalg.norm(u)
+    g0, s, curv = spec.line(x, u)
+    if direction == "no_power":
+        assert curv == 0.0
+    if (direction == "downhill" and s > 0) or (direction == "uphill" and s < 0):
+        u = -u
+    assert spec.strictly_inside(x)
+    t_lo, t_hi = spec.chord(x, u)
+    assert t_hi == pytest.approx(_bisect_ray(spec, x, u), abs=1e-9)
+    assert t_lo == pytest.approx(-_bisect_ray(spec, x, -u), abs=1e-9)
+    assert spec.chord(x, u, line=spec.line(x, u)) == (t_lo, t_hi)
+
+
+@pytest.mark.parametrize("cap", [False, True], ids=["power", "power_and_cap"])
+def test_chord_quadratic_flat_direction(cap):
+    # two equal Power coordinates at equal values, u along their difference:
+    # the slope is exactly 0 (the dyadic x keeps a fused multiply-add exact)
+    # and the chord is symmetric
+    comps = [Power(1.0, 2.0), Power(1.0, 2.0), Cap(0.9) if cap else Linear(2.0)]
+    spec = GobSpec(3, comps)
+    x = np.array([0.5, 0.5, 0.25])
+    u = np.array([1.0, -1.0, 0.0]) / math.sqrt(2)
+    g0, s, curv = spec.line(x, u)
+    assert s == 0.0 and curv == pytest.approx(1.0)
+    t_lo, t_hi = spec.chord(x, u)
+    # g0 + t^2 = 1, cut by the box [0, 1]^2 at 0.5 sqrt(2)
+    assert t_hi == -t_lo == pytest.approx(min(math.sqrt(1.0 - g0), 0.5 * math.sqrt(2)))
+    assert t_hi == pytest.approx(_bisect_ray(spec, x, u), abs=1e-9)
+
+
+def test_chord_quadratic_flat_line_is_the_box():
+    # along a cap coordinate the slope and the curvature are both 0
+    spec = GobSpec(3, [Power(1.0, 2.0), Power(1.0, 2.0), Cap(0.9)])
+    x, u = np.array([0.5, 0.5, 0.25]), np.array([0.0, 0.0, 1.0])
+    assert spec.line(x, u)[1:] == (0.0, 0.0)
+    assert spec.chord(x, u) == pytest.approx((-0.25, 0.65))
+
+
+def _affine_chord(spec, x, u):
+    # the former closed form for specs with no Power and no PWL component,
+    # kept as the oracle for the A = 0 case of the quadratic chord
+    lo, hi = box_bracket(x, u, spec.a)
+    s = 0.0
+    if spec._lin_idx is not None:
+        s = float(u[spec._lin_idx] @ spec._lin_inv)
+    if s > 0:
+        hi = min(hi, (1.0 - spec.total(x)) / s)
+    elif s < 0:
+        lo = min(lo, (1.0 - spec.total(x)) / -s)
+    return -max(lo, 0.0), max(hi, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.sampled_from([3, 4, 5]), frac=st.floats(0.05, 0.95))
+def test_chord_affine_bitwise_as_before(data, n, frac):
+    d = n * (n - 1) // 2
+    comps = data.draw(st.lists(
+        st.one_of(st.builds(Linear, st.floats(0.2, 2.0)),
+                  st.builds(Cap, st.floats(0.2, 2.0))),
+        min_size=d, max_size=d))
+    uniform = data.draw(st.booleans())
+    spec = GobSpec(n, comps[0] if uniform else comps)
+    w = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d)))
+    x = _interior_point(spec, w, frac)
+    u = np.array(data.draw(st.lists(_direction, min_size=d, max_size=d)))
+    assume(np.linalg.norm(u) > 1e-3)
+    u /= np.linalg.norm(u)  # exact zeros stay
+    new, old = spec.chord(x, u), _affine_chord(spec, x, u)
+    assert [v.hex() for v in map(float, new)] == [v.hex() for v in map(float, old)]
+
+
+@pytest.mark.parametrize("components, quadratic", [
+    (Linear(1.0), True), (Cap(1.0), True), (Power(1.0, 2.0), True),
+    (Power(1.0, 3.0), False), (Power(1.0, 1.0), False),
+    (PiecewiseLinearConvex([(0, 0), (1, 1)]), False),
+    ([Linear(1.0), Cap(0.5), Power(2.0, 2.0)], True),
+    ([Linear(1.0), Power(1.0, 2.0), Power(1.0, 2.5)], False),
+    ([Linear(1.0), Power(1.0, 2.0), PiecewiseLinearConvex([(0, 0), (1, 1)])], False),
+])
+def test_quadratic_flag(components, quadratic):
+    spec = GobSpec(3, components)
+    assert spec.quadratic is quadratic
+    x, u = np.full(3, 0.1), np.array([0.6, -0.8, 0.0])
+    g0, s, curv = spec.line(x, u)
+    assert (g0, s) == spec.total_and_slope(x, u)
+    assert (curv is None) is (not quadratic)
 
 
 # ---------------------------------------------------------------------------

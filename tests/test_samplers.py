@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from gobgraph import (Cap, ExponentialDecay, GobSpec, Indicator, Linear,
-                      PowerDecay, Power, SamplerConfig, exact_twin, hit_and_run,
+                      PiecewiseLinearConvex, PowerDecay, Power, SamplerConfig,
+                      exact_twin, hit_and_run,
                       ks_critical, make_sampler, sample_cube, sample_lq_orthant,
                       sample_shared_scale, sample_simplex,
                       sample_simplex_censored, start_point, substream,
@@ -300,6 +301,53 @@ def test_hit_and_run_chain_stays_in_ball(data, n, density, start, seed):
     assert max(spec.total(x) for x in X) <= 1.0 + 1e-9
 
 
+class _StepMarkingStream:
+    """A Generator wrapper that logs the start of every chain step (its
+    normal draw) into `events`, beside the G evaluations logged there."""
+
+    def __init__(self, stream, events):
+        self._stream, self._events = stream, events
+
+    def standard_normal(self, *args, **kwargs):
+        self._events.append(("step", None))
+        return self._stream.standard_normal(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+
+@pytest.mark.parametrize("spec", [
+    GobSpec(4, [Linear(1.0), Power(1.0, 2.0), Cap(0.6), Power(0.8, 2.0),
+                Linear(0.7), Power(1.2, 2.0)], radial_density=ExponentialDecay(1.5)),
+    GobSpec(4, [Linear(1.0), Power(1.0, 2.5), Cap(0.6),
+                PiecewiseLinearConvex([(0, 0), (0.5, 0.3), (1, 1.2)]),
+                Linear(0.7), Power(1.2, 2.0)], radial_density=ExponentialDecay(1.5)),
+], ids=["quadratic", "pwl"])
+def test_hit_and_run_evaluates_g_once_per_step_at_its_state(monkeypatch, spec):
+    # every array evaluation of G (total_and_slope, which total calls) is
+    # logged with its point; each step evaluates G at its current state
+    # exactly once, and a quadratic spec evaluates it nowhere else
+    events = []
+    inner = GobSpec.total_and_slope
+
+    def logged(self, y, v=None):
+        events.append(("G", np.array(y)))
+        return inner(self, y, v)
+
+    monkeypatch.setattr(GobSpec, "total_and_slope", logged)
+    cfg = SamplerConfig(method="hit_and_run", burn_in=0, thinning=1)
+    steps = 40
+    X = hit_and_run(spec, cfg, _StepMarkingStream(_stream(19), events), steps)
+    states = [start_point(spec, cfg.start)] + list(X[:-1])
+    marks = [i for i, (kind, _) in enumerate(events) if kind == "step"]
+    assert len(marks) == steps
+    for state, begin, end in zip(states, marks, marks[1:] + [len(events)]):
+        points = [y for _, y in events[begin + 1:end]]
+        assert sum(np.array_equal(y, state) for y in points) == 1
+        if spec.quadratic:
+            assert len(points) == 1
+
+
 def test_schedule_defaults_and_validation():
     cfg = SamplerConfig(method="hit_and_run")
     assert cfg.resolved_schedule(10) == (500, 10)
@@ -380,6 +428,17 @@ def test_validate_sampler_passes_on_box():
     spec = GobSpec(3, Cap(1.0))
     cfg = SamplerConfig(method="hit_and_run", burn_in=200, thinning=5)
     pair = (_stream((13, 0)), _stream((13, 1)))
+    report = validate_sampler(spec, cfg, pair, draws=4000)
+    assert report.ok is True
+    assert report.max_ks < report.critical
+
+
+def test_validate_sampler_passes_on_l2_orthant():
+    # the quadratic chord against the exact l_q sampler
+    spec = GobSpec(4, Power(1.0, 2.0))
+    assert spec.quadratic
+    cfg = SamplerConfig(method="hit_and_run", burn_in=300, thinning=10)
+    pair = (_stream((20, 0)), _stream((20, 1)))
     report = validate_sampler(spec, cfg, pair, draws=4000)
     assert report.ok is True
     assert report.max_ks < report.critical
