@@ -6,8 +6,8 @@ from .edges import edge_count, edge_endpoints, edge_index, edge_pairs
 from .estimators import (MomentEstimate, NcTestReport, estimate_moments,
                          marginal_bound_check, nc_test, wilson_interval)
 from .experiments import (Crossing, ScanConfig, ScanResult, ScanRow,
-                          connectivity_scan, er_connectivity_oracle, giant_scan,
-                          resolve_grid, run_scan, threshold_locator)
+                          er_connectivity_oracle, resolve_grid, run_scan,
+                          threshold_locator)
 from .graph import (ComponentStats, ThresholdGraph, build_graph, components,
                     components_bfs, histogram_stats, small_component_mass,
                     threshold_sweep)

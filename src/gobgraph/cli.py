@@ -17,10 +17,10 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
+from . import experiments
 from .config import ConfigError, build_spec, config_hash, n_list, parse_config
 from .estimators import estimate_moments, nc_test
-from .experiments import (connectivity_scan, er_connectivity_oracle, giant_scan,
-                          threshold_locator)
+from .experiments import er_connectivity_oracle, threshold_locator
 from .report import emit_csv, emit_plotdata
 from .rng import MAX_SEED, substream
 from .samplers import draw_blocks, make_sampler, validate_sampler
@@ -140,6 +140,9 @@ def _run_scan(args, mode):
     cfg, seed = _load(args, scan_mode=mode)
     if cfg.scan is None:
         raise ConfigError("section 'scan' is required for scan commands")
+    if cfg.scan.mode != mode:
+        raise ConfigError(f"scan.mode is {cfg.scan.mode!r}, but scan-{mode} "
+                          f"runs a {mode} scan")
     specs = [build_spec(cfg.model, n) for n in n_list(cfg)]
     verdicts = []
     for k, spec in enumerate(specs):
@@ -147,8 +150,10 @@ def _run_scan(args, mode):
         if report is not None:
             verdicts.append({"n": spec.n, "ok": report.ok, "reason": report.reason,
                              "max_ks": report.max_ks, "critical": report.critical})
-    runner = connectivity_scan if mode == "connectivity" else giant_scan
-    result = runner(specs, cfg.sampler, cfg.scan, seed, workers=args.workers)
+    # looked up on the module at each call, so a wrapper installed there
+    # runs (perfbench/child.py rebinds experiments.run_scan to trace scans)
+    result = experiments.run_scan(specs, cfg.sampler, cfg.scan, seed,
+                                  workers=args.workers)
     metric = "p_connected" if mode == "connectivity" else "p_giant"
     crossings = threshold_locator(result, metric=metric)
     _write_manifest(args.out, f"scan-{mode}", cfg, seed, run={
@@ -250,12 +255,6 @@ def nc_thresholds(pilot, cols_i, cols_j, qs):
     s = np.array([np.quantile(pilot[:, e], q) for e, q in zip(cols_i, qs)])
     t = np.array([np.quantile(pilot[:, e], q) for e, q in zip(cols_j, qs[len(cols_i):])])
     return s, t
-
-
-def random_nc_configuration(stream, pilot, dim, size_max, q_range):
-    """Random disjoint index sets with quantile-based thresholds."""
-    I, J, qs = random_nc_indices(stream, dim, size_max, q_range)
-    return (I, J, *nc_thresholds(pilot, I, J, qs))
 
 
 def _cmd_oracle_er(args):

@@ -16,7 +16,7 @@ from .errors import ConfigError
 from .experiments import ScanConfig
 from .orlicz import (Cap, ExponentialDecay, GobSpec, Indicator, Linear,
                      PiecewiseLinearConvex, PowerDecay, Power)
-from .samplers import SamplerConfig
+from .samplers import SamplerConfig, check_method
 
 
 _TOP_KEYS = {"model", "sampler", "scan", "nc_test", "moments"}
@@ -306,10 +306,11 @@ def _parse(raw, scan_mode):
             raise ConfigError("nc_test.quantile_range must be [lo, hi] with "
                               "0 <= lo < hi <= 1")
 
-    # exercise spec construction now so invariant errors surface early
+    # exercise spec construction and the sampler's family check now, so
+    # invariant errors surface early
     n_list = _n_list(raw, model, scan)
     for n in n_list:
-        build_spec(model, n)
+        check_method(build_spec(model, n), sampler.method)
     return FullConfig(model=model, sampler=sampler, scan=scan,
                       nc_test=dict(nc), moments=dict(mom), raw=raw)
 

@@ -18,6 +18,7 @@ recorded per n in the result's meta, not in the rows.
 """
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -56,6 +57,12 @@ class ScanConfig:
             raise ValueError(f"beta must be > 1, got {self.beta}")
         if bool(self.gammas) == bool(self.values):
             raise ValueError("exactly one of gammas / values must be set")
+        grid = self.gammas or self.values
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   for v in grid):
+            raise ValueError(f"grid entries must be numbers, got {list(grid)}")
+        if self.pilot_draws < 1:
+            raise ValueError(f"need pilot_draws >= 1, got {self.pilot_draws}")
 
 
 @dataclass
@@ -81,8 +88,6 @@ class ScanRow:
     p_big_component: float = field(default=0.0, metadata={"csv": False})
     # P(max component > n/2)
     p_giant: float = field(default=0.0, metadata={"csv": False})
-    # mean number of components of order > n/4
-    mean_over_quarter: float = field(default=0.0, metadata={"csv": False})
 
 
 @dataclass
@@ -117,7 +122,7 @@ def _pilot_sigma(sampler, stream, draws, dim):
 
 # integer accumulators per grid cell, in the order `_cell_counts` returns them
 _ACC_KEYS = ("connected", "has_isolated", "mid", "big", "giant",
-             "isolated_sum", "max_comp_sum", "small_mass_sum", "over_quarter_sum")
+             "isolated_sum", "max_comp_sum", "small_mass_sum")
 
 
 def _cell_counts(hist, n, big_thresh, mass_cutoff):
@@ -125,23 +130,20 @@ def _cell_counts(hist, n, big_thresh, mass_cutoff):
     {component order: count} histogram of its graph at one p."""
     largest = max(hist)
     isolated = hist.get(1, 0)
-    giants = over_quarter = small_mass = 0
+    giants = small_mass = 0
     mid = False
     for order, count in hist.items():
         if order > n / 2:
             giants += count
         elif order >= big_thresh:
             mid = True
-        if order > n / 4:
-            over_quarter += count
         if order <= mass_cutoff:
             small_mass += order * count
     if giants > 1:
         raise RuntimeError(
             f"pigeonhole violated: {giants} components of order > n/2 at n={n}")
     return (int(largest == n), int(isolated > 0), int(mid),
-            int(largest >= big_thresh), giants, isolated, largest,
-            small_mass, over_quarter)
+            int(largest >= big_thresh), giants, isolated, largest, small_mass)
 
 
 def _scan_chunk(payload):
@@ -230,7 +232,6 @@ def run_scan(specs, sampler_cfg, cfg, master_seed, workers=1):
                 small_mass_frac=int(acc["small_mass_sum"][k]) / (reps * n),
                 p_big_component=int(acc["big"][k]) / reps,
                 p_giant=int(acc["giant"][k]) / reps,
-                mean_over_quarter=int(acc["over_quarter_sum"][k]) / reps,
             ))
     rows.sort(key=lambda r: (r.n, r.p))
     meta = {
@@ -243,18 +244,6 @@ def run_scan(specs, sampler_cfg, cfg, master_seed, workers=1):
         "edges_kept": {n: merged[n]["edges_kept"] for n in grids},
     }
     return ScanResult(rows=rows, meta=meta)
-
-
-def connectivity_scan(specs, sampler_cfg, cfg, master_seed, workers=1):
-    if cfg.mode != "connectivity":
-        raise ValueError("config mode must be 'connectivity'")
-    return run_scan(specs, sampler_cfg, cfg, master_seed, workers)
-
-
-def giant_scan(specs, sampler_cfg, cfg, master_seed, workers=1):
-    if cfg.mode != "giant":
-        raise ValueError("config mode must be 'giant'")
-    return run_scan(specs, sampler_cfg, cfg, master_seed, workers)
 
 
 def er_connectivity_oracle(n, p):

@@ -1,7 +1,7 @@
 """Generalized Orlicz balls over edge-indexed coordinates.
 
 A ball is the set {x >= 0 : sum_e f_e(x_e) <= 1} for convex nondecreasing
-components f_e with f_e(0) = 0.  Geometric queries (membership, chords,
+components f_e with f_e(0) = 0.  Geometric queries (G itself, chords,
 per-coordinate extents) back the samplers and experiments.  The sum G and
 its directional slope are evaluated by component kind in one grouped pass
 (`GobSpec.total`, `GobSpec.total_and_slope`).  When no component is
@@ -41,13 +41,6 @@ class Power:
         self.a = float(a)
         self.q = float(q)
 
-    def value(self, t):
-        _check_nonneg(t)
-        return (np.asarray(t, dtype=float) / self.a) ** self.q
-
-    def inverse_at_one(self):
-        return self.a
-
     def inverse_at(self, level):
         # sup{t : f(t) <= level}
         return self.a * level ** (1.0 / self.q)
@@ -64,13 +57,6 @@ class Linear:
             raise ValueError(f"scale a must be positive, got {a}")
         self.a = float(a)
 
-    def value(self, t):
-        _check_nonneg(t)
-        return np.asarray(t, dtype=float) / self.a
-
-    def inverse_at_one(self):
-        return self.a
-
     def inverse_at(self, level):
         return self.a * level
 
@@ -85,15 +71,6 @@ class Cap:
         if not a > 0:
             raise ValueError(f"cap a must be positive, got {a}")
         self.a = float(a)
-
-    def value(self, t):
-        _check_nonneg(t)
-        t = np.asarray(t, dtype=float)
-        out = np.where(t <= self.a, 0.0, INF)
-        return out if out.ndim else float(out)
-
-    def inverse_at_one(self):
-        return self.a
 
     def inverse_at(self, level):
         if level < 0:
@@ -150,9 +127,6 @@ class PiecewiseLinearConvex:
         last breakpoint)."""
         k = int(np.searchsorted(self._t, t, side="right")) - 1
         return float(self._slopes[min(k, len(self._slopes) - 1)])
-
-    def inverse_at_one(self):
-        return self.inverse_at(1.0)
 
     def inverse_at(self, level):
         # Exact crossing of the piecewise-linear graph with the given level;
@@ -250,9 +224,9 @@ class GobSpec:
         self.components = comps
 
         if self.uniform:
-            self.a = np.full(self.dim, components.inverse_at_one())
+            self.a = np.full(self.dim, components.inverse_at(1.0))
         else:
-            self.a = np.array([c.inverse_at_one() for c in comps])
+            self.a = np.array([c.inverse_at(1.0) for c in comps])
         if not np.all(np.isfinite(self.a)):
             raise ValueError("every component must have a finite extent")
 
@@ -388,24 +362,6 @@ class GobSpec:
             s = np.where(bad, INF, s)
         return s
 
-    def membership(self, x):
-        """Classify x against the ball: 'inside', 'boundary' or 'outside'.
-
-        Points with a negative coordinate lie outside the orthant and are
-        classified 'outside'.
-        """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected shape ({self.dim},), got {x.shape}")
-        if np.any(x < 0):
-            return "outside"
-        s = self.total(x)
-        if s < 1.0 - MEMBERSHIP_TOL:
-            return "inside"
-        if s <= 1.0 + MEMBERSHIP_TOL:
-            return "boundary"
-        return "outside"
-
     def _in_open_box(self, x):
         # every coordinate positive and strictly below its cap
         if not x.min() > 0:
@@ -506,15 +462,17 @@ def box_bracket(x, u, a):
 
     With A = (a - x)/u and B = -x/u, coordinate e bounds the forward
     step by max(A_e, B_e) (the face u_e points to) and the backward step
-    by max(-A_e, -B_e).  A zero u_e makes A_e and B_e infinite with
-    opposite signs, so both maxima are +inf, or makes one of them nan
-    (x_e at 0 or a_e), which the nan-skipping minimum drops: either way
-    the coordinate bounds neither step.  Each limit equals the
-    per-direction quotient bit for bit, since -x/u == x/(-u) in IEEE
-    arithmetic.  x must be finite and lie in [0, a].
+    by max(-A_e, -B_e) = -min(A_e, B_e), so the backward limit is the
+    negated nan-skipping maximum of the minima.  A zero u_e makes A_e and
+    B_e infinite with opposite signs, so their maximum is +inf and their
+    minimum -inf, or makes one of them nan (x_e at 0 or a_e), which the
+    nan-skipping reductions drop: either way the coordinate bounds
+    neither step.  Each limit equals the per-direction quotient bit for
+    bit, since -x/u == x/(-u) in IEEE arithmetic.  x must be finite and
+    lie in [0, a].
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         A = (a - x) / u
         B = -x / u
-    return (float(np.fmin.reduce(np.maximum(-A, -B))),
+    return (-float(np.fmax.reduce(np.minimum(A, B))),
             float(np.fmin.reduce(np.maximum(A, B))))

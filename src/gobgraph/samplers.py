@@ -38,12 +38,13 @@ vectors.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .edges import edge_count
-from .orlicz import Cap, GobSpec, Indicator, Linear, Power, box_bracket
+from .orlicz import Cap, Indicator, Linear, Power, box_bracket
 
 _BLOCK_BYTES = 8 << 20  # float64 coordinates per `draw_blocks` call
 # the censored simplex draw splits the exponentials at
@@ -78,6 +79,11 @@ class SamplerConfig:
             raise ValueError(f"method must be one of {self._METHODS}, got {self.method!r}")
         if self.start not in self._STARTS:
             raise ValueError(f"start must be one of {self._STARTS}, got {self.start!r}")
+        for name in ("burn_in", "thinning"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.burn_in is not None and self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         if self.thinning is not None and self.thinning < 1:
@@ -346,19 +352,27 @@ def _uniform_power_q(spec):
     return qs.pop() if len(qs) == 1 else None
 
 
+def check_method(spec, method):
+    """Raise ValueError unless `method` can sample `spec`: hit-and-run
+    samples every spec, an exact method only the specs it is the
+    `exact_twin` of."""
+    if method == "hit_and_run":
+        return
+    twin = exact_twin(spec)
+    if method != twin:
+        raise ValueError(f"method {method} does not sample this spec; "
+                         + (f"its exact method is {twin}" if twin else
+                            "it has no exact method, use hit_and_run"))
+
+
 def make_sampler(spec, cfg):
     """Bind a spec and config into a callable (stream, count) -> (count, d)."""
-    if cfg.method != "hit_and_run" and not isinstance(spec.radial_density, Indicator):
-        raise ValueError("exact samplers require the Indicator radial density")
+    check_method(spec, cfg.method)
     n = spec.n
     if cfg.method == "exact_cube":
-        if not _all_of(spec, Cap):
-            raise ValueError("exact_cube requires all-Cap components")
         scales = spec.a.copy()
         return lambda stream, count: sample_cube(n, stream, count, scales)
     if cfg.method == "exact_simplex":
-        if not _all_of(spec, Linear):
-            raise ValueError("exact_simplex requires all-Linear components")
         coeffs = 1.0 / spec.a
         level = cfg.censor_above
         if level is None:
@@ -368,11 +382,7 @@ def make_sampler(spec, cfg):
         return lambda stream, count: sample_simplex_censored(
             n, coeffs, level, stream, count)
     if cfg.method == "exact_lq":
-        if not _all_of(spec, Power):
-            raise ValueError("exact_lq requires all-Power components")
         q = _uniform_power_q(spec)
-        if q is None:
-            raise ValueError("exact_lq requires a single exponent q across edges")
         scales = spec.a.copy()
         return lambda stream, count: sample_lq_orthant(n, q, scales, stream, count)
     return lambda stream, count: hit_and_run(spec, cfg, stream, count)

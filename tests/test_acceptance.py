@@ -16,13 +16,12 @@ import pytest
 from scipy import integrate, stats
 
 from gobgraph import (Cap, GobSpec, Linear, Power, SamplerConfig, ScanConfig,
-                      build_graph, components, components_bfs,
-                      connectivity_scan, edge_count, er_connectivity_oracle,
-                      estimate_moments, giant_scan, ks_critical, make_sampler,
-                      marginal_bound_check, nc_test, sample_lq_orthant,
-                      sample_shared_scale, sample_simplex, substream,
-                      threshold_locator)
-from gobgraph.cli import random_nc_configuration
+                      build_graph, components, components_bfs, edge_count,
+                      er_connectivity_oracle, estimate_moments, ks_critical,
+                      make_sampler, marginal_bound_check, nc_test, run_scan,
+                      sample_lq_orthant, sample_shared_scale, sample_simplex,
+                      substream, threshold_locator)
+from gobgraph.cli import nc_thresholds, random_nc_indices
 from gobgraph.report import emit_csv
 
 SEED = 20260824
@@ -55,8 +54,8 @@ def test_criterion_1_er_recovery(criterion):
     for n in range(3, 9):
         specs = [GobSpec(n, Cap(1.0))]
         cfg = ScanConfig(mode="connectivity", replicates=reps, values=ps)
-        result = connectivity_scan(specs, SamplerConfig(method="exact_cube"),
-                                   cfg, SEED + n)
+        result = run_scan(specs, SamplerConfig(method="exact_cube"), cfg,
+                          SEED + n)
         for row in result.rows:
             truth = er_connectivity_oracle(n, row.p)
             se = math.sqrt(max(truth * (1 - truth), 1.0 / reps) / reps)
@@ -117,8 +116,8 @@ def test_criterion_4_negative_correlation(criterion):
             pilot = sampler(substream(SEED, (4, tag, d, 0)), 4000)
             for i in range(10):
                 stream = substream(SEED, (4, tag, d, i + 1))
-                I, J, s, t = random_nc_configuration(stream, pilot, d, 3,
-                                                     (0.6, 0.95))
+                I, J, qs = random_nc_indices(stream, d, 3, (0.6, 0.95))
+                s, t = nc_thresholds(pilot, I, J, qs)
                 report = nc_test(sampler, stream, I, J, s, t, reps)
                 total += 1
                 violations += report.verdict != "consistent"
@@ -156,7 +155,7 @@ def connectivity_campaign():
                      gammas=(0.4, 0.55, 0.7, 0.85, 1.0, 1.2, 1.5),
                      pilot_draws=500)
     sampler_cfg = SamplerConfig(method="exact_simplex")
-    result = connectivity_scan(specs, sampler_cfg, cfg, SEED, workers=2)
+    result = run_scan(specs, sampler_cfg, cfg, SEED, workers=2)
     return specs, sampler_cfg, cfg, result
 
 
@@ -184,8 +183,8 @@ def test_criterion_7_giant_component(criterion):
     cfg = ScanConfig(mode="giant", replicates=500,
                      gammas=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0),
                      sigma_normalized=True, pilot_draws=500)
-    result = giant_scan([GobSpec(n, Linear(1.0))],
-                        SamplerConfig(method="exact_simplex"), cfg, SEED + 7)
+    result = run_scan([GobSpec(n, Linear(1.0))],
+                      SamplerConfig(method="exact_simplex"), cfg, SEED + 7)
     rows = sorted(result.rows, key=lambda r: r.p)
     sub, sup = rows[0], rows[-1]
     ok = (sub.p_big_component <= 0.1 and sup.p_giant >= 0.95
@@ -198,7 +197,7 @@ def test_criterion_7_giant_component(criterion):
 def test_criterion_8_worker_determinism(criterion, connectivity_campaign,
                                         tmp_path):
     specs, sampler_cfg, cfg, result2 = connectivity_campaign
-    result1 = connectivity_scan(specs, sampler_cfg, cfg, SEED, workers=1)
+    result1 = run_scan(specs, sampler_cfg, cfg, SEED, workers=1)
     a = tmp_path / "w1.csv"
     b = tmp_path / "w2.csv"
     emit_csv(result1, a)

@@ -332,9 +332,11 @@ def test_cli_nc_test_streamed_pilot_matches_whole(tmp_path, monkeypatch, family)
     spec = build_spec(parsed.model)
     sampler = make_sampler(spec, parsed.sampler)
     pilot = sampler(substream(5, (cli._TAG_NC, 0)), cli._NC_PILOT_DRAWS)
-    expected = [cli.random_nc_configuration(substream(5, (cli._TAG_NC, i + 1)),
-                                            pilot, spec.dim, 3, (0.6, 0.95))
-                for i in range(4)]
+    expected = []
+    for i in range(4):
+        I, J, qs = cli.random_nc_indices(substream(5, (cli._TAG_NC, i + 1)),
+                                         spec.dim, 3, (0.6, 0.95))
+        expected.append((I, J, *cli.nc_thresholds(pilot, I, J, qs)))
     assert main(["nc-test", "--config", cfg, "--out", str(tmp_path / "whole")]) == 0
 
     seen, inner = [], cli.nc_test
@@ -482,7 +484,7 @@ def test_cli_scan_gates_every_n(tmp_path, monkeypatch):
     assert gated == expect[:1]
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "nope.yaml")
     assert main(["scan-giant", "--config", missing,
                  "--out", str(tmp_path / "o")]) == 2
@@ -523,6 +525,24 @@ def test_cli_exit_codes(tmp_path):
     """)
     assert main(["nc-test", "--config", bad_range, "--out", str(tmp_path / "o")]) == 2
 
+    # each of these once ended in a traceback and exit status 1
+    simplex = "model: {family: simplex, n: 5}\n"
+    scan = ("model: {family: simplex}\n"
+            "scan: {n_list: [5], replicates: 30, pilot_draws: %s,\n"
+            "       grid: {kind: gamma, gammas: %s}}\n")
+    for command, text in [
+            ("sample", simplex + "sampler: {method: exact_cube}\n"),
+            ("sample", simplex + "sampler: {method: hit_and_run, burn_in: abc}\n"),
+            ("sample", simplex + "sampler: {method: hit_and_run, burn_in: 10.5}\n"),
+            ("scan-connectivity", scan % (0, "[0.5]")),
+            ("scan-connectivity", scan % (10, "[0.5, abc]")),
+            ("scan-connectivity", scan.replace("{n_list", "{mode: giant, n_list")
+             % (10, "[0.5]"))]:
+        capsys.readouterr()
+        cfg = _write_cfg(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2, text
+        assert "config error" in capsys.readouterr().err
+
 
 def test_cli_internal_value_error_exits_1(tmp_path):
     # a ValueError raised inside a scan is an internal error: it ends the
@@ -554,6 +574,34 @@ def test_cli_internal_value_error_exits_1(tmp_path):
     assert proc.returncode == 1
     assert "ValueError: injected chord failure" in proc.stderr
     assert "config error" not in proc.stderr
+
+
+def test_perfbench_tracer_finds_the_names_it_rebinds(tmp_path):
+    # perfbench/child.py traces a run by rebinding package names from
+    # outside (experiments.run_scan among them); a scan must still call
+    # through each binding it wraps
+    cfg = _write_cfg(tmp_path, """\
+        model:
+          family: gob
+          component: {kind: power, a: 1.0, q: 2.0}
+          radial_density: {kind: exponential, rate: 1.5}
+        scan:
+          n_list: [4]
+          replicates: 30
+          pilot_draws: 10
+          grid: {kind: gamma, gammas: [1.0]}
+    """)
+    src = str(Path(gobgraph.__file__).resolve().parent.parent)
+    child = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+    record = tmp_path / "record.json"
+    proc = subprocess.run(
+        [sys.executable, str(child), src, str(record), "trace", "--",
+         "scan-connectivity", "--config", cfg, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    spans = {s["name"] for s in json.loads(record.read_text())["trace"]["spans"]}
+    assert {"experiments.run_scan", "samplers.hr_draw", "orlicz.chord",
+            "config.build_spec"} <= spans
 
 
 def test_cli_import_leaves_scipy_stats_out():

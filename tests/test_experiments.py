@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from gobgraph import (Cap, GobSpec, Linear, SamplerConfig, ScanConfig, ScanRow,
-                      ScanResult, connectivity_scan, er_connectivity_oracle,
-                      giant_scan, make_sampler, resolve_grid, run_scan,
-                      substream, threshold_locator)
+                      ScanResult, er_connectivity_oracle, make_sampler,
+                      resolve_grid, run_scan, substream, threshold_locator)
 from gobgraph.config import ConfigError
 
 
@@ -80,6 +79,12 @@ def test_scan_config_validation():
         ScanConfig(mode="giant")  # neither gammas nor values
     with pytest.raises(ValueError):
         ScanConfig(mode="giant", gammas=(1,), values=(0.1,))
+    with pytest.raises(ValueError):
+        ScanConfig(mode="giant", gammas=(0.5, "abc"))
+    with pytest.raises(ValueError):
+        ScanConfig(mode="giant", values=(0.1, True))
+    with pytest.raises(ValueError):
+        ScanConfig(mode="giant", values=(0.1,), pilot_draws=0)
 
 
 def test_resolve_grid_modes():
@@ -105,8 +110,8 @@ def test_resolve_grid_modes():
 def _cube_scan(n_values, reps, ps, workers=1, seed=314):
     specs = [GobSpec(n, Cap(1.0)) for n in n_values]
     cfg = ScanConfig(mode="connectivity", replicates=reps, values=tuple(ps))
-    return connectivity_scan(specs, SamplerConfig(method="exact_cube"),
-                             cfg, seed, workers=workers)
+    return run_scan(specs, SamplerConfig(method="exact_cube"), cfg, seed,
+                    workers=workers)
 
 
 def test_scan_recovers_er_probabilities():
@@ -169,24 +174,20 @@ def test_scan_records_censor_level_and_edges_kept():
     assert all(isinstance(v, int) and v > 0 for v in result.meta["edges_kept"].values())
 
 
-def test_scan_meta_and_mode_guards():
+def test_scan_meta_records_mode():
     result = _cube_scan([5], 100, (0.5,))
     assert result.meta["mode"] == "connectivity"
     assert result.meta["master_seed"] == 314
-    cfg = ScanConfig(mode="giant", values=(0.5,), replicates=100)
-    with pytest.raises(ValueError):
-        connectivity_scan([GobSpec(5, Cap(1.0))],
-                          SamplerConfig(method="exact_cube"), cfg, 0)
-    with pytest.raises(ValueError):
-        giant_scan([GobSpec(5, Cap(1.0))], SamplerConfig(method="exact_cube"),
-                   ScanConfig(mode="connectivity", values=(0.5,)), 0)
+    giant = run_scan([GobSpec(5, Cap(1.0))], SamplerConfig(method="exact_cube"),
+                     ScanConfig(mode="giant", values=(0.5,), replicates=100), 0)
+    assert giant.meta["mode"] == "giant"
 
 
 def test_giant_scan_simplex_smoke():
     specs = [GobSpec(30, Linear(1.0))]
     cfg = ScanConfig(mode="giant", replicates=100, gammas=(0.25, 6.0),
                      sigma_normalized=True, pilot_draws=200)
-    result = giant_scan(specs, SamplerConfig(method="exact_simplex"), cfg, 7)
+    result = run_scan(specs, SamplerConfig(method="exact_simplex"), cfg, 7)
     rows = sorted(result.rows, key=lambda r: r.p)
     assert rows[0].mean_giant_frac < rows[1].mean_giant_frac
     assert result.meta["sigma_hat"][30] == pytest.approx(

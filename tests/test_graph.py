@@ -159,8 +159,7 @@ def _counts_from_stats(stats, n, big_thresh, mass_cutoff):
             int(any(big_thresh <= sz <= n / 2 for sz in sizes)),
             int(stats.max_component >= big_thresh),
             sum(1 for sz in sizes if sz > n / 2), stats.isolated_count,
-            stats.max_component, small_component_mass(stats, mass_cutoff),
-            sum(1 for sz in sizes if sz > n / 4))
+            stats.max_component, small_component_mass(stats, mass_cutoff))
 
 
 @settings(max_examples=200, deadline=None)

@@ -15,25 +15,32 @@ INF = math.inf
 
 
 # ---------------------------------------------------------------------------
-# component evaluation
+# component evaluation, through G on a one-edge ball (n = 2)
+
+def _g(f, t):
+    return GobSpec(2, f).total(np.array([t]))
+
 
 def test_eval_power():
-    assert Power(a=2, q=3).value(2.0) == pytest.approx(1.0)
+    assert _g(Power(a=2, q=3), 2.0) == pytest.approx(1.0)
 
 
 def test_eval_linear_zero():
-    assert Linear(a=0.5).value(0.0) == 0.0
+    assert _g(Linear(a=0.5), 0.0) == 0.0
 
 
 def test_eval_cap_beyond():
-    assert Cap(a=1.0).value(1.5) == INF
+    assert _g(Cap(a=1.0), 1.5) == INF
 
 
 def test_eval_negative_rejected():
+    # a negative coordinate is never strictly inside; the PWL component,
+    # the one G evaluates by value, rejects a negative argument
     for f in (Power(1, 2), Linear(1), Cap(1),
               PiecewiseLinearConvex([(0, 0), (1, 1)])):
-        with pytest.raises(ValueError):
-            f.value(-0.1)
+        assert not GobSpec(2, f).strictly_inside(np.array([-0.1]))
+    with pytest.raises(ValueError):
+        _g(PiecewiseLinearConvex([(0, 0), (1, 1)]), -0.1)
 
 
 def test_construction_validation():
@@ -66,19 +73,19 @@ def test_pwl_value_and_extrapolation():
 
 
 # ---------------------------------------------------------------------------
-# inverse_at_one
+# the extent inverse_at(1.0), which sets GobSpec.a
 
 def test_inverse_at_one_exact_kinds():
-    assert Power(a=2, q=3).inverse_at_one() == 2.0
-    assert Linear(a=0.5).inverse_at_one() == 0.5
-    assert Cap(a=1.0).inverse_at_one() == 1.0
+    for f, a in ((Power(a=2, q=3), 2.0), (Linear(a=0.5), 0.5), (Cap(a=1.0), 1.0)):
+        assert f.inverse_at(1.0) == a
+        assert GobSpec(3, f).a.tolist() == [a] * 3
 
 
 def _bisect_inverse(f, lo=0.0, hi=1e6, tol=1e-13):
     # independent oracle: bisection on sup{t : f(t) <= 1}
     while hi - lo > tol * max(1.0, hi):
         mid = 0.5 * (lo + hi)
-        if f.value(mid) <= 1.0:
+        if _g(f, mid) <= 1.0:
             lo = mid
         else:
             hi = mid
@@ -91,17 +98,17 @@ def _bisect_inverse(f, lo=0.0, hi=1e6, tol=1e-13):
     Power(a=1.7, q=2.5),
 ])
 def test_inverse_at_one_matches_bisection(f):
-    assert f.inverse_at_one() == pytest.approx(_bisect_inverse(f), rel=1e-10)
+    assert f.inverse_at(1.0) == pytest.approx(_bisect_inverse(f), rel=1e-10)
 
 
 def test_inverse_scaling_law():
     # replacing f(t) by f(t/s) multiplies the extent by s
     for s in (0.5, 2.0, 7.0):
-        assert Linear(a=1.3 * s).inverse_at_one() == pytest.approx(1.3 * s)
-        assert Power(a=1.3 * s, q=3).inverse_at_one() == pytest.approx(
-            s * Power(a=1.3, q=3).inverse_at_one())
-        assert Cap(a=0.4 * s).inverse_at_one() == pytest.approx(
-            s * Cap(a=0.4).inverse_at_one())
+        assert Linear(a=1.3 * s).inverse_at(1.0) == pytest.approx(1.3 * s)
+        assert Power(a=1.3 * s, q=3).inverse_at(1.0) == pytest.approx(
+            s * Power(a=1.3, q=3).inverse_at(1.0))
+        assert Cap(a=0.4 * s).inverse_at(1.0) == pytest.approx(
+            s * Cap(a=0.4).inverse_at(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +123,8 @@ def test_inverse_scaling_law():
 def test_midpoint_convexity(f):
     rng = np.random.default_rng(1234)
     t = np.sort(rng.uniform(0, 3, size=200))
-    v = np.asarray(f.value(t))
-    mid = np.asarray(f.value(0.5 * (t[:-1] + t[1:])))
+    v = np.array([_g(f, s) for s in t])
+    mid = np.array([_g(f, s) for s in 0.5 * (t[:-1] + t[1:])])
     finite = np.isfinite(v[:-1]) & np.isfinite(v[1:])
     assert np.all(mid[finite] <= 0.5 * (v[:-1] + v[1:])[finite] + 1e-9)
 
@@ -125,29 +132,32 @@ def test_midpoint_convexity(f):
 def test_cap_midpoint_convexity_where_finite():
     f = Cap(a=1.0)
     t = np.linspace(0, 1, 50)
-    assert np.all(np.asarray(f.value(t)) == 0.0)
+    assert all(_g(f, s) == 0.0 for s in t)
 
 
 # ---------------------------------------------------------------------------
-# membership
+# membership: G against 1 -+ MEMBERSHIP_TOL
+
+TOL = orlicz.MEMBERSHIP_TOL
+
 
 def test_membership_examples():
     spec = GobSpec(3, Linear(1.0))
-    assert spec.membership(np.array([0.2, 0.3, 0.4])) == "inside"
-    assert spec.membership(np.array([0.5, 0.5, 0.5])) == "outside"
+    assert spec.total(np.array([0.2, 0.3, 0.4])) < 1.0 - TOL
+    assert spec.total(np.array([0.5, 0.5, 0.5])) > 1.0 + TOL
     box = GobSpec(3, Cap(1.0))
-    assert box.membership(np.array([1.0, 1.0, 1.0])) in ("inside", "boundary")
+    assert box.total(np.array([1.0, 1.0, 1.0])) <= 1.0 + TOL
 
 
 def test_membership_dimension_mismatch():
     spec = GobSpec(3, Linear(1.0))
     with pytest.raises(ValueError):
-        spec.membership(np.array([0.1, 0.2]))
+        spec.total(np.array([0.1, 0.2]))
 
 
 def test_membership_negative_coordinate_is_outside():
     spec = GobSpec(3, Linear(1.0))
-    assert spec.membership(np.array([-0.1, 0.1, 0.1])) == "outside"
+    assert not spec.strictly_inside(np.array([-0.1, 0.1, 0.1]))
 
 
 def test_membership_down_closed():
@@ -156,10 +166,10 @@ def test_membership_down_closed():
     spec = GobSpec(4, Power(a=1.0, q=2.0))
     for _ in range(200):
         y = rng.uniform(0, 0.5, size=spec.dim)
-        if spec.membership(y) != "inside":
+        if not spec.total(y) < 1.0 - TOL:
             continue
         x = y * rng.uniform(0, 1, size=spec.dim)
-        assert spec.membership(x) == "inside"
+        assert spec.total(x) < 1.0 - TOL
 
 
 @pytest.mark.parametrize("components", [
@@ -219,7 +229,7 @@ def _chord_grid_oracle(spec, x, u, span=5.0, steps=200001):
     feas = []
     for t in ts:
         y = x + t * u
-        if np.all(y >= 0) and spec.membership(np.clip(y, 0, None)) != "outside":
+        if np.all(y >= 0) and spec.total(y) <= 1.0 + TOL:
             feas.append(t)
     return feas[0], feas[-1]
 
@@ -254,12 +264,11 @@ def test_chord_endpoints_property(spec):
         for t in (t_lo + eps, t_hi - eps):
             y = x + t * u
             assert np.all(y >= -1e-12)
-            assert spec.membership(np.clip(y, 0, None)) in ("inside", "boundary")
+            assert spec.total(np.clip(y, 0, None)) <= 1.0 + TOL
         for t in (t_lo - 10 * eps, t_hi + 10 * eps):
             y = x + t * u
-            outside = np.any(y < 0) or spec.membership(np.clip(y, 0, None)) == "outside"
-            # endpoint may coincide with a numerically flat boundary face
-            assert outside or spec.membership(np.clip(y, 0, None)) == "boundary"
+            # outside, or on a numerically flat boundary face at the endpoint
+            assert np.any(y < 0) or spec.total(np.clip(y, 0, None)) >= 1.0 - TOL
 
 
 def _bisect_ray(spec, x, v, tol=1e-14):
@@ -331,6 +340,28 @@ def test_box_bracket_matches_masked_formula(data, d):
             old_hi = np.nanmin(np.where(u > 0, (a - x) / u, x / -u))
             old_lo = np.nanmin(np.where(u < 0, (a - x) / -u, x / u))
         assert (lo, hi) == (old_lo, old_hi)
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), d=st.integers(1, 12))
+def test_box_bracket_backward_limit_bitwise_as_before(data, d):
+    # the former backward limit, fmin.reduce(maximum(-A, -B)), bit for bit,
+    # signed zeros included, with zeros of both signs in x and u and x on
+    # both faces of the box
+    a = np.array(data.draw(st.lists(st.floats(0.1, 3.0), min_size=d, max_size=d)))
+    face = st.sampled_from([0.0, -0.0, 1.0]) | _coord
+    x = a * np.array(data.draw(st.lists(face, min_size=d, max_size=d)))
+    u = np.array(data.draw(st.lists(_direction, min_size=d, max_size=d)))
+    assume(np.any(u != 0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        A = (a - x) / u
+        B = -x / u
+    old_lo = float(np.fmin.reduce(np.maximum(-A, -B)))
+    assert _bits(box_bracket(x, u, a)[0]) == _bits(old_lo)
 
 
 def test_box_bracket_ignores_zero_direction_coordinates():
