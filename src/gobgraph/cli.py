@@ -16,9 +16,8 @@ import sys
 
 import numpy as np
 
-from . import config as cfgmod
 from . import experiments
-from .config import ConfigError, build_spec, config_hash, n_list, parse_config
+from .config import ConfigError, build_spec, config_hash, parse_config
 from .estimators import estimate_moments, nc_test
 from .experiments import er_connectivity_oracle, threshold_locator
 from .report import emit_csv, emit_plotdata
@@ -52,7 +51,7 @@ def _load(args, scan_mode="connectivity"):
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     cfg = parse_config(text, scan_mode=scan_mode)
-    seed = int(args.seed if args.seed is not None else cfg.sampler.seed)
+    seed = args.seed if args.seed is not None else cfg.sampler.seed
     if not 0 <= seed < MAX_SEED:
         raise ConfigError(f"master seed must be a 64-bit unsigned int, got {seed}")
     return cfg, seed
@@ -76,7 +75,7 @@ def _write_manifest(out_dir, command, cfg, seed, run=None):
         "command": command,
         "master_seed": seed,
         "config_hash": config_hash(cfg, seed),
-        "config": cfgmod.normalized(cfg),
+        "config": cfg.canonical,
         "versions": _versions(),
         **(run or {}),
     }
@@ -88,10 +87,9 @@ def _write_manifest(out_dir, command, cfg, seed, run=None):
 
 
 def _single_spec(cfg):
-    ns = n_list(cfg)
-    if len(ns) != 1:
+    if len(cfg.n_list) != 1:
         raise ConfigError("this command needs a single n (set model.n)")
-    return build_spec(cfg.model, ns[0])
+    return build_spec(cfg.model, cfg.n_list[0])
 
 
 def _maybe_validate(cfg, spec, seed, force, index):
@@ -143,7 +141,7 @@ def _run_scan(args, mode):
     if cfg.scan.mode != mode:
         raise ConfigError(f"scan.mode is {cfg.scan.mode!r}, but scan-{mode} "
                           f"runs a {mode} scan")
-    specs = [build_spec(cfg.model, n) for n in n_list(cfg)]
+    specs = [build_spec(cfg.model, n) for n in cfg.n_list]
     verdicts = []
     for k, spec in enumerate(specs):
         report = _maybe_validate(cfg, spec, seed, args.force, k)
@@ -180,7 +178,7 @@ def _cmd_moments(args):
     cfg, seed = _load(args)
     spec = _single_spec(cfg)
     sampler = make_sampler(spec, cfg.sampler)
-    reps = int(cfg.moments.get("reps", 20000))
+    reps = cfg.moments.get("reps", 20000)
     est = estimate_moments(sampler, substream(seed, (_TAG_MOMENTS,)), reps)
     _write_manifest(args.out, "moments", cfg, seed)
     path = os.path.join(args.out, "moments.csv")
@@ -199,9 +197,9 @@ def _cmd_nc_test(args):
     cfg, seed = _load(args)
     spec = _single_spec(cfg)
     sampler = make_sampler(spec, cfg.sampler)
-    reps = int(cfg.nc_test.get("reps", 20000))
-    n_configs = int(cfg.nc_test.get("configurations", 10))
-    size_max = int(cfg.nc_test.get("set_size_max", 3))
+    reps = cfg.nc_test.get("reps", 20000)
+    n_configs = cfg.nc_test.get("configurations", 10)
+    size_max = cfg.nc_test.get("set_size_max", 3)
     q_lo, q_hi = cfg.nc_test.get("quantile_range", [0.6, 0.95])
     if not 1 <= size_max < spec.dim:
         raise ConfigError(f"nc_test.set_size_max must lie in [1, {spec.dim - 1}], "
@@ -298,7 +296,7 @@ def build_parser():
             p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="master seed override")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_int_at_least(1), default=1)
         p.add_argument("--force", action="store_true",
                        help="run scans even if sampler validation fails")
 

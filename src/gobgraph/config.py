@@ -1,22 +1,87 @@
-"""Configuration file schema: parsing, validation and normalization.
+"""Configuration file schema: parsing, validation and the canonical form.
 
 Config files are YAML with top-level sections `model`, `sampler` and
-`scan` (plus optional `nc_test` and `moments`).  Unknown keys anywhere
-are hard errors, and invariant violations (q < 1, bad scales, ...) are
-reported before any computation starts.
+`scan` (plus optional `nc_test` and `moments`).  Every value is read
+once, by `_read`, which checks its YAML type: integers are YAML integers,
+flags are `true`/`false` and lists are lists.  Unknown keys anywhere are
+hard errors, and invariant violations (q < 1, bad scales, ...) are
+reported before any computation starts.  The canonical form that
+`config_hash` digests is put together from the values as they are read.
 """
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import yaml
 
+from .edges import edge_count
 from .errors import ConfigError
 from .experiments import ScanConfig
 from .orlicz import (Cap, ExponentialDecay, GobSpec, Indicator, Linear,
                      PiecewiseLinearConvex, PowerDecay, Power)
 from .samplers import SamplerConfig, check_method
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    # an integer beyond the float range is not a number the model can use
+    return isinstance(value, float) or (_is_int(value)
+                                        and abs(value) <= sys.float_info.max)
+
+
+# the values `_read` accepts for each kind, keyed by the name its errors use
+_KINDS = {
+    "an integer": _is_int,
+    "an integer or null": lambda v: v is None or _is_int(v),
+    "a number": _is_number,
+    "true or false": lambda v: isinstance(v, bool),
+    "a list": lambda v: isinstance(v, list),
+    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "a list of [t, value] pairs": lambda v: isinstance(v, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(map(_is_number, p)) for p in v),
+}
+_REQUIRED = object()  # the `_read` default of a key that must be given
+
+
+def _read(section, data, key, kind, default=_REQUIRED):
+    """The value of `key` in the mapping `data`, or `default` if the key
+    is absent.  `kind` names an entry of _KINDS, or is a collection of the
+    strings the value may be; any other value is a ConfigError naming
+    `section.key`."""
+    if key not in data:
+        if default is _REQUIRED:
+            raise ConfigError(f"{section}.{key} is required")
+        return default
+    value = data[key]
+    if isinstance(kind, str):
+        ok = _KINDS[kind](value)
+    else:
+        ok = isinstance(value, str) and value in kind
+        kind = f"one of {sorted(kind)}"
+    if not ok:
+        raise ConfigError(f"{section}.{key} must be {kind}, got {value!r}")
+    return value
+
+
+def _mapping(section, data):
+    if not isinstance(data, dict):
+        raise ConfigError(f"section {section!r} must be a mapping")
+    return data
+
+
+def _check_keys(section, mapping, allowed):
+    unknown = set(_mapping(section, mapping)) - set(allowed)
+    if unknown:
+        raise ConfigError(
+            f"unknown key(s) {sorted(unknown, key=str)} in section {section!r}; "
+            f"allowed: {sorted(allowed)}"
+        )
 
 
 _TOP_KEYS = {"model", "sampler", "scan", "nc_test", "moments"}
@@ -26,140 +91,123 @@ _MODEL_KEYS = {
     "lq": {"family", "n", "q", "scale", "scales"},
     "gob": {"family", "n", "component", "components", "radial_density"},
 }
-_COMPONENT_KEYS = {
-    "power": {"kind", "a", "q"},
-    "linear": {"kind", "a"},
-    "cap": {"kind", "a"},
-    "pwl": {"kind", "breakpoints"},
+# the key of each family's per-edge list (named by the length check)
+_PER_EDGE_KEYS = {"cube": "scales", "simplex": "coeffs", "lq": "scales",
+                  "gob": "components"}
+# component and radial-density kinds: the class each builds, and its
+# parameters as {key: (kind, default)}
+_COMPONENTS = {
+    "power": (Power, {"a": ("a number", 1.0), "q": ("a number", 1.0)}),
+    "linear": (Linear, {"a": ("a number", 1.0)}),
+    "cap": (Cap, {"a": ("a number", 1.0)}),
+    "pwl": (PiecewiseLinearConvex,
+            {"breakpoints": ("a list of [t, value] pairs", [])}),
 }
-_RADIAL_KEYS = {
-    "indicator": {"kind"},
-    "exponential": {"kind", "rate"},
-    "power_decay": {"kind", "exponent"},
+_RADIALS = {
+    "indicator": (Indicator, {}),
+    "exponential": (ExponentialDecay, {"rate": ("a number", 1.0)}),
+    "power_decay": (PowerDecay, {"exponent": ("a number", 1.0)}),
 }
 _SAMPLER_KEYS = {"method", "seed", "burn_in", "thinning", "start"}
 _SCAN_KEYS = {"mode", "n_list", "replicates", "beta", "grid", "pilot_draws"}
 _GRID_KEYS = {"kind", "gammas", "values", "sigma_normalized"}
-_NC_KEYS = {"reps", "configurations", "set_size_max", "quantile_range"}
-_MOMENT_KEYS = {"reps"}
-
-
-def _check_keys(section, mapping, allowed):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"section {section!r} must be a mapping")
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) {sorted(unknown)} in section {section!r}; "
-            f"allowed: {sorted(allowed)}"
-        )
+_NC_KINDS = {"reps": "an integer", "configurations": "an integer",
+             "set_size_max": "an integer", "quantile_range": "a list of numbers"}
+_MOMENT_KINDS = {"reps": "an integer"}
 
 
 @dataclass
 class ModelConfig:
+    """A model resolved to the parts of its GobSpec: `components` is the
+    component every edge shares, or the per-edge list."""
     family: str
-    n: int | None = None
-    scale: float = 1.0
-    scales: list | None = None
-    coeff: float = 1.0
-    coeffs: list | None = None
-    q: float | None = None
-    component: dict | None = None
-    components: list | None = None
-    radial_density: dict | None = None
+    n: int | None
+    components: object
+    radial_density: object = None
 
 
 @dataclass
 class FullConfig:
     model: ModelConfig
     sampler: SamplerConfig
-    scan: ScanConfig | None = None
-    nc_test: dict = field(default_factory=dict)
-    moments: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+    scan: ScanConfig | None
+    nc_test: dict    # the nc_test values given; `nc-test` defaults the rest
+    moments: dict
+    n_list: list     # the vertex counts: scan.n_list, else [model.n]
+    canonical: dict  # the form config_hash digests
 
 
-def _parse_component(section, data):
-    _check_keys(section, data, {"kind"} | set().union(*_COMPONENT_KEYS.values()))
-    kind = data.get("kind")
-    if kind not in _COMPONENT_KEYS:
-        raise ConfigError(
-            f"{section}: component kind must be one of {sorted(_COMPONENT_KEYS)}, "
-            f"got {kind!r}"
-        )
-    _check_keys(section, data, _COMPONENT_KEYS[kind])
+def _parse_kind(section, data, kinds):
+    """Build the component or radial density that a mapping
+    `{kind: ..., <its parameters>}` names; returns it and its canonical
+    form, the values given."""
+    kind = _read(section, _mapping(section, data), "kind", kinds)
+    cls, params = kinds[kind]
+    _check_keys(section, data, {"kind", *params})
+    canon = {"kind": kind}
+    for key, (value_kind, _) in params.items():
+        if key in data:
+            canon[key] = _read(section, data, key, value_kind)
     try:
-        if kind == "power":
-            return Power(a=data.get("a", 1.0), q=data.get("q", 1.0))
-        if kind == "linear":
-            return Linear(a=data.get("a", 1.0))
-        if kind == "cap":
-            return Cap(a=data.get("a", 1.0))
-        return PiecewiseLinearConvex(data.get("breakpoints", []))
-    except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
-
-
-def _parse_radial(section, data):
-    if data is None:
-        return Indicator()
-    kind = data.get("kind")
-    if kind not in _RADIAL_KEYS:
-        raise ConfigError(
-            f"{section}: radial density kind must be one of {sorted(_RADIAL_KEYS)}, "
-            f"got {kind!r}"
-        )
-    _check_keys(section, data, _RADIAL_KEYS[kind])
-    try:
-        if kind == "indicator":
-            return Indicator()
-        if kind == "exponential":
-            return ExponentialDecay(rate=data.get("rate", 1.0))
-        return PowerDecay(exponent=data.get("exponent", 1.0))
+        return cls(**{key: canon.get(key, default)
+                      for key, (_, default) in params.items()}), canon
     except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
 
 def _parse_model(data):
-    if not isinstance(data, dict):
-        raise ConfigError("section 'model' must be a mapping")
-    family = data.get("family")
-    if family not in _MODEL_KEYS:
-        raise ConfigError(
-            f"model.family must be one of {sorted(_MODEL_KEYS)}, got {family!r}"
-        )
+    """The model section: its ModelConfig and canonical form.  Each family
+    resolves here to its shared component or per-edge list and its radial
+    density, so `build_spec` has one path."""
+    family = _read("model", _mapping("model", data), "family", _MODEL_KEYS)
     _check_keys("model", data, _MODEL_KEYS[family])
-    m = ModelConfig(family=family, n=data.get("n"))
-    if family in ("cube", "lq"):
-        m.scale = float(data.get("scale", 1.0))
-        m.scales = data.get("scales")
-        if m.scale <= 0:
-            raise ConfigError("model.scale must be positive")
-    if family == "simplex":
-        m.coeff = float(data.get("coeff", 1.0))
-        m.coeffs = data.get("coeffs")
-        if m.coeff <= 0:
-            raise ConfigError("model.coeff must be positive")
-    if family == "lq":
-        if "q" not in data:
-            raise ConfigError("model.q is required for family lq")
-        m.q = float(data["q"])
-        if m.q < 1:
-            raise ConfigError(f"model: exponent q>=1 required, got q={m.q}")
+    n = _read("model", data, "n", "an integer or null", None)
+    canon = {"family": family} if n is None else {"family": family, "n": n}
     if family == "gob":
         if ("component" in data) == ("components" in data):
             raise ConfigError("gob model needs exactly one of component/components")
-        m.component = data.get("component")
-        m.components = data.get("components")
-        m.radial_density = data.get("radial_density")
-        # validate eagerly so schema errors surface before any computation
-        if m.component is not None:
-            _parse_component("model.component", m.component)
+        if "component" in data:
+            components, canon["component"] = _parse_kind(
+                "model.component", data["component"], _COMPONENTS)
         else:
-            for i, c in enumerate(m.components):
-                _parse_component(f"model.components[{i}]", c)
-        _parse_radial("model.radial_density", m.radial_density)
-    return m
+            parsed = [_parse_kind(f"model.components[{i}]", c, _COMPONENTS)
+                      for i, c in enumerate(_read("model", data, "components", "a list"))]
+            components = [comp for comp, _ in parsed]
+            canon["components"] = [c for _, c in parsed]
+        radial = None
+        if data.get("radial_density") is not None:
+            radial, canon["radial_density"] = _parse_kind(
+                "model.radial_density", data["radial_density"], _RADIALS)
+        return ModelConfig(family, n, components, radial), canon
+
+    if family == "cube":
+        key, make = "scale", Cap
+    elif family == "simplex":
+        # coefficients c in {sum c_e x_e <= 1}; extent is 1/c
+        key, make = "coeff", lambda c: Linear(1.0 / c)
+    else:
+        q = canon["q"] = float(_read("model", data, "q", "a number"))
+        if not q >= 1:
+            raise ConfigError(f"model: exponent q>=1 required, got q={q}")
+        key, make = "scale", lambda a: Power(a, q)
+    canon[key] = float(_read("model", data, key, "a number", 1.0))
+    components = _positive_component(f"model.{key}", make, canon[key])
+    list_key = _PER_EDGE_KEYS[family]
+    if list_key in data:
+        canon[list_key] = [float(v) for v in _read("model", data, list_key,
+                                                   "a list of numbers")]
+        components = [_positive_component(f"model.{list_key}", make, v)
+                      for v in canon[list_key]]
+    return ModelConfig(family, n, components), canon
+
+
+def _positive_component(section, make, value):
+    if not value > 0:
+        raise ConfigError(f"{section} must be positive, got {value}")
+    try:
+        return make(value)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def build_spec(model, n=None):
@@ -169,45 +217,12 @@ def build_spec(model, n=None):
         raise ConfigError("vertex count n is not set (model.n or scan.n_list)")
     if n < 2:
         raise ConfigError(f"need n >= 2, got {n}")
-    d = n * (n - 1) // 2
-
-    def per_edge(values, section):
-        if len(values) != d:
-            raise ConfigError(
-                f"model.{section}: expected {d} entries for n={n}, got {len(values)}"
-            )
-        return [float(v) for v in values]
-
+    d = edge_count(n)
+    if isinstance(model.components, list) and len(model.components) != d:
+        raise ConfigError(f"model.{_PER_EDGE_KEYS[model.family]}: expected {d} "
+                          f"entries for n={n}, got {len(model.components)}")
     try:
-        if model.family == "cube":
-            if model.scales is not None:
-                comps = [Cap(a) for a in per_edge(model.scales, "scales")]
-                return GobSpec(n, comps)
-            return GobSpec(n, Cap(model.scale))
-        if model.family == "simplex":
-            # coefficients c in {sum c_e x_e <= 1}; extent is 1/c
-            if model.coeffs is not None:
-                comps = [Linear(1.0 / c) for c in per_edge(model.coeffs, "coeffs")]
-                return GobSpec(n, comps)
-            return GobSpec(n, Linear(1.0 / model.coeff))
-        if model.family == "lq":
-            if model.scales is not None:
-                comps = [Power(a, model.q) for a in per_edge(model.scales, "scales")]
-                return GobSpec(n, comps)
-            return GobSpec(n, Power(model.scale, model.q))
-        # gob
-        radial = _parse_radial("model.radial_density", model.radial_density)
-        if model.component is not None:
-            comp = _parse_component("model.component", model.component)
-            return GobSpec(n, comp, radial_density=radial)
-        if len(model.components) != d:
-            raise ConfigError(f"model.components: expected {d} entries for n={n}, "
-                              f"got {len(model.components)}")
-        comps = [_parse_component(f"model.components[{i}]", c)
-                 for i, c in enumerate(model.components)]
-        return GobSpec(n, comps, radial_density=radial)
-    except ConfigError:
-        raise
+        return GobSpec(n, model.components, radial_density=model.radial_density)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
@@ -221,173 +236,130 @@ _DEFAULT_METHODS = {
 
 
 def _parse_sampler(data, family):
+    """The sampler section: its SamplerConfig and canonical form, whose
+    keys are the config's arguments."""
     data = data or {}
     _check_keys("sampler", data, _SAMPLER_KEYS)
-    method = data.get("method", _DEFAULT_METHODS[family])
-    # keys left out take SamplerConfig's defaults
-    schedule = {k: data[k] for k in ("burn_in", "thinning", "start") if k in data}
+    # SamplerConfig checks method, burn_in, thinning and start
+    canon = {
+        "method": data.get("method", _DEFAULT_METHODS[family]),
+        "seed": _read("sampler", data, "seed", "an integer", 0),
+        "burn_in": data.get("burn_in"),
+        "thinning": data.get("thinning"),
+        "start": data.get("start", SamplerConfig.start),
+    }
     try:
-        return SamplerConfig(method=method, seed=int(data.get("seed", 0)), **schedule)
+        return SamplerConfig(**canon), canon
     except ValueError as exc:
         raise ConfigError(f"sampler: {exc}") from exc
 
 
-def _parse_scan(data, mode="connectivity"):
+def _vertex_counts(n_list, n):
+    """scan.n_list when given, else [model.n]."""
+    if n_list is None:
+        if n is None:
+            raise ConfigError("no vertex count: set model.n or scan.n_list")
+        return [n]
+    if not n_list:
+        raise ConfigError("scan.n_list must be nonempty")
+    return n_list
+
+
+def _parse_scan(data, mode, n):
+    """The scan section (None, None when it is absent): its ScanConfig and
+    canonical form.  `mode` applies when scan.mode is left out, and `n`
+    (model.n) when scan.n_list is."""
     if data is None:
-        return None
+        return None, None
     _check_keys("scan", data, _SCAN_KEYS)
-    mode = data.get("mode", mode)
-    if mode not in ("connectivity", "giant"):
-        raise ConfigError(f"scan.mode must be connectivity or giant, got {mode!r}")
+    mode = data.get("mode", mode)  # ScanConfig checks it
     grid = data.get("grid")
     if grid is None:
         raise ConfigError("scan.grid is required")
     _check_keys("scan.grid", grid, _GRID_KEYS)
-    kind = grid.get("kind", "gamma")
-    if kind not in ("gamma", "explicit"):
-        raise ConfigError(f"scan.grid.kind must be gamma or explicit, got {kind!r}")
-    gammas = tuple(grid.get("gammas", ())) if kind == "gamma" else ()
-    values = tuple(grid.get("values", ())) if kind == "explicit" else ()
+    kind = _read("scan.grid", grid, "kind", ("gamma", "explicit"), "gamma")
+    # ScanConfig checks that the entries are numbers
+    entries = _read("scan.grid", grid, "gammas" if kind == "gamma" else "values",
+                    "a list", [])
+    sigma_normalized = _read("scan.grid", grid, "sigma_normalized", "true or false",
+                             mode == "connectivity")
+    if mode == "connectivity" and not sigma_normalized:
+        raise ConfigError("scan.grid.sigma_normalized applies to giant grids only: "
+                          "a connectivity grid is p = gamma * sigma_hat * log(n) / n")
+    canon = {
+        "mode": mode,
+        "n_list": _vertex_counts(
+            _read("scan", data, "n_list", "a list of integers", None), n),
+        "replicates": _read("scan", data, "replicates", "an integer", 500),
+        "beta": float(_read("scan", data, "beta", "a number", 2.0)),
+        "grid": {"kind": kind,
+                 "gammas": entries if kind == "gamma" else [],
+                 "values": [] if kind == "gamma" else entries,
+                 "sigma_normalized": sigma_normalized},
+        "pilot_draws": _read("scan", data, "pilot_draws", "an integer", 500),
+    }
     try:
         return ScanConfig(
-            mode=mode,
-            replicates=int(data.get("replicates", 500)),
-            beta=float(data.get("beta", 2.0)),
-            gammas=gammas,
-            values=values,
-            sigma_normalized=bool(grid.get("sigma_normalized",
-                                           mode == "connectivity")),
-            pilot_draws=int(data.get("pilot_draws", 500)),
-        )
+            mode=mode, replicates=canon["replicates"], beta=canon["beta"],
+            gammas=tuple(canon["grid"]["gammas"]),
+            values=tuple(canon["grid"]["values"]),
+            sigma_normalized=sigma_normalized, pilot_draws=canon["pilot_draws"],
+        ), canon
     except ValueError as exc:
         raise ConfigError(f"scan: {exc}") from exc
 
 
-def parse_config(text, scan_mode="connectivity"):
-    """Parse and validate a YAML configuration document.
+def _parse_values(section, data, kinds):
+    """An optional section of plain values: the values given, each of the
+    kind `kinds` names for its key."""
+    data = data or {}
+    _check_keys(section, data, kinds)
+    return {key: _read(section, data, key, kinds[key]) for key in data}
 
-    Every value in it is user input, so a ValueError raised while parsing
-    (say, int() of a non-number) is reported as a ConfigError.
-    """
+
+def parse_config(text, scan_mode="connectivity"):
+    """Parse and validate a YAML configuration document.  `scan_mode` is
+    the scan mode when scan.mode is left out."""
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"not valid YAML: {exc}") from exc
-    try:
-        return _parse(raw, scan_mode)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _parse(raw, scan_mode):
-    if not isinstance(raw, dict):
-        raise ConfigError("top level must be a mapping")
     _check_keys("<top level>", raw, _TOP_KEYS)
     if "model" not in raw:
         raise ConfigError("section 'model' is required")
-    model = _parse_model(raw["model"])
-    sampler = _parse_sampler(raw.get("sampler"), model.family)
-    scan = _parse_scan(raw.get("scan"), mode=scan_mode)
-
-    nc = raw.get("nc_test") or {}
-    _check_keys("nc_test", nc, _NC_KEYS)
-    mom = raw.get("moments") or {}
-    _check_keys("moments", mom, _MOMENT_KEYS)
-    # the commands convert these later; a bad value fails here instead
-    for mapping in (nc, mom):
-        for key in ("reps", "configurations", "set_size_max"):
-            if key in mapping:
-                int(mapping[key])
+    model, canon_model = _parse_model(raw["model"])
+    sampler, canon_sampler = _parse_sampler(raw.get("sampler"), model.family)
+    scan, canon_scan = _parse_scan(raw.get("scan"), scan_mode, model.n)
+    nc = _parse_values("nc_test", raw.get("nc_test"), _NC_KINDS)
+    if nc.get("configurations", 1) < 1:
+        raise ConfigError(
+            f"nc_test.configurations must be >= 1, got {nc['configurations']}")
     if "quantile_range" in nc:
-        q_lo, q_hi = (float(q) for q in nc["quantile_range"])
-        if not 0.0 <= q_lo < q_hi <= 1.0:
+        q_range = nc["quantile_range"]
+        if not (len(q_range) == 2 and 0.0 <= q_range[0] < q_range[1] <= 1.0):
             raise ConfigError("nc_test.quantile_range must be [lo, hi] with "
                               "0 <= lo < hi <= 1")
+    moments = _parse_values("moments", raw.get("moments"), _MOMENT_KINDS)
+    n_list = canon_scan["n_list"] if scan else _vertex_counts(None, model.n)
 
-    # exercise spec construction and the sampler's family check now, so
-    # invariant errors surface early
-    n_list = _n_list(raw, model, scan)
+    # build the spec at every n now, so that invariant errors and a method
+    # that cannot sample the family surface before any computation
     for n in n_list:
-        check_method(build_spec(model, n), sampler.method)
-    return FullConfig(model=model, sampler=sampler, scan=scan,
-                      nc_test=dict(nc), moments=dict(mom), raw=raw)
+        spec = build_spec(model, n)
+        try:
+            check_method(spec, sampler.method)
+        except ValueError as exc:
+            raise ConfigError(f"sampler: {exc}") from exc
 
-
-def _n_list(raw, model, scan):
-    scan_raw = raw.get("scan") or {}
-    if "n_list" in scan_raw:
-        ns = [int(n) for n in scan_raw["n_list"]]
-        if not ns:
-            raise ConfigError("scan.n_list must be nonempty")
-        return ns
-    if model.n is not None:
-        return [int(model.n)]
-    raise ConfigError("no vertex count: set model.n or scan.n_list")
-
-
-def n_list(cfg):
-    """Vertex counts a config addresses (scan.n_list, else model.n)."""
-    return _n_list(cfg.raw, cfg.model, cfg.scan)
-
-
-def normalized(cfg):
-    """Canonical dict form of a parsed config (stable key order, defaults
-    resolved).  Equal configurations normalize identically."""
-    model = {"family": cfg.model.family}
-    if cfg.model.n is not None:
-        model["n"] = cfg.model.n
-    if cfg.model.family in ("cube", "lq"):
-        model["scale"] = cfg.model.scale
-        if cfg.model.scales is not None:
-            model["scales"] = [float(v) for v in cfg.model.scales]
-    if cfg.model.family == "simplex":
-        model["coeff"] = cfg.model.coeff
-        if cfg.model.coeffs is not None:
-            model["coeffs"] = [float(v) for v in cfg.model.coeffs]
-    if cfg.model.family == "lq":
-        model["q"] = cfg.model.q
-    if cfg.model.family == "gob":
-        if cfg.model.component is not None:
-            model["component"] = cfg.model.component
-        else:
-            model["components"] = cfg.model.components
-        if cfg.model.radial_density is not None:
-            model["radial_density"] = cfg.model.radial_density
-    out = {
-        "model": model,
-        "sampler": {
-            "method": cfg.sampler.method,
-            "seed": cfg.sampler.seed,
-            "burn_in": cfg.sampler.burn_in,
-            "thinning": cfg.sampler.thinning,
-            "start": cfg.sampler.start,
-        },
-    }
-    if cfg.scan is not None:
-        out["scan"] = {
-            "mode": cfg.scan.mode,
-            "n_list": n_list(cfg),
-            "replicates": cfg.scan.replicates,
-            "beta": cfg.scan.beta,
-            "grid": {
-                "kind": "gamma" if cfg.scan.gammas else "explicit",
-                "gammas": list(cfg.scan.gammas),
-                "values": list(cfg.scan.values),
-                "sigma_normalized": cfg.scan.sigma_normalized,
-            },
-            "pilot_draws": cfg.scan.pilot_draws,
-        }
-    if cfg.nc_test:
-        out["nc_test"] = cfg.nc_test
-    if cfg.moments:
-        out["moments"] = cfg.moments
-    return out
+    canonical = {"model": canon_model, "sampler": canon_sampler}
+    for key, section in (("scan", canon_scan), ("nc_test", nc), ("moments", moments)):
+        if section:
+            canonical[key] = section
+    return FullConfig(model, sampler, scan, nc, moments, n_list, canonical)
 
 
 def config_hash(cfg, master_seed):
-    """Stable digest of the normalized config plus the resolved seed."""
-    blob = json.dumps({"config": normalized(cfg), "master_seed": int(master_seed)},
+    """Stable digest of the canonical config plus the resolved seed."""
+    blob = json.dumps({"config": cfg.canonical, "master_seed": int(master_seed)},
                       sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -192,6 +192,8 @@ def run_scan(specs, sampler_cfg, cfg, master_seed, workers=1):
             tasks.append((spec, chunk_cfg, p_values, master_seed,
                           n_index, r0, r1, cfg.beta))
 
+    # a pool of this size starts every worker at once, busy or not
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_scan_chunk, tasks))

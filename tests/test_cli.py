@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gobgraph
 from gobgraph import cli, samplers
 from gobgraph.cli import main
-from gobgraph.config import (ConfigError, build_spec, config_hash, n_list,
-                             normalized, parse_config)
+from gobgraph.config import ConfigError, build_spec, config_hash, parse_config
 from gobgraph.experiments import er_connectivity_oracle
 from gobgraph.report import CSV_HEADER, emit_csv, emit_plotdata
 from gobgraph.experiments import ScanResult, ScanRow
@@ -39,7 +40,7 @@ def _row(n=5, p=0.5):
 def test_parse_minimal_cube():
     cfg = parse_config("model:\n  family: cube\n  n: 50\n")
     assert cfg.model.family == "cube"
-    assert n_list(cfg) == [50]
+    assert cfg.n_list == [50]
     spec = build_spec(cfg.model)
     assert spec.dim == 1225
     assert cfg.sampler.method == "exact_cube"  # family default
@@ -108,21 +109,119 @@ def test_missing_n_is_an_error():
         parse_config("model:\n  family: cube\n")
 
 
-@pytest.mark.parametrize("name,mode", [
-    ("cube_scan.yaml", "connectivity"),
-    ("simplex_connectivity.yaml", "connectivity"),
-    ("simplex_giant.yaml", "giant"),
-    ("gob_mixed.yaml", "connectivity"),
-])
-def test_documented_configs_roundtrip(name, mode):
+_DOCUMENTED = [
+    ("cube_scan.yaml", "connectivity", "2d10481dbce44888"),
+    ("simplex_connectivity.yaml", "connectivity", "016209cdb963f390"),
+    ("simplex_giant.yaml", "giant", "5caa1f5cc62bb9bb"),
+    ("gob_mixed.yaml", "connectivity", "0a901d3bae0c4bea"),
+]
+
+
+@pytest.mark.parametrize("name,mode,pinned", _DOCUMENTED,
+                         ids=[f"{name}-{mode}" for name, mode, _ in _DOCUMENTED])
+def test_documented_configs_roundtrip(name, mode, pinned):
     text = (DOCS / name).read_text()
     cfg = parse_config(text, scan_mode=mode)
-    norm = normalized(cfg)
-    # re-serialize the normalized form and parse it back
-    again = parse_config(yaml.safe_dump(norm), scan_mode=mode)
-    assert normalized(again) == norm
+    # the hash at the documented seed, which outputs and manifests carry
+    assert config_hash(cfg, 20260824) == pinned
+    # re-serialize the canonical form and parse it back
+    again = parse_config(yaml.safe_dump(cfg.canonical), scan_mode=mode)
+    assert again.canonical == cfg.canonical
     assert config_hash(again, 7) == config_hash(cfg, 7)
     assert config_hash(again, 8) != config_hash(cfg, 7)
+
+
+@pytest.mark.parametrize("text,mode,pinned", [
+    ("model: {family: lq, n: 3, q: 2, scale: 3, scales: [1, 2, 3]}\n"
+     "sampler: {seed: 5}\n", "connectivity", "2eb6bc7568971a28"),
+    ("model:\n  family: gob\n  n: 3\n  components:\n    - {kind: linear}\n"
+     "    - {kind: power, q: 3}\n    - {kind: pwl, breakpoints: [[0, 0], [1, 2]]}\n"
+     "  radial_density: {kind: power_decay}\n"
+     "sampler: {burn_in: 100, start: origin_nudge}\n", "connectivity",
+     "69ae58f51f7ac740"),
+    ("model: {family: simplex, coeff: 2}\n"
+     "scan: {n_list: [5, 6], beta: 3, grid: {kind: explicit, values: [0.1, 0.9]}}\n"
+     "nc_test: {configurations: 2, quantile_range: [0, 1]}\nmoments: {reps: 5000}\n",
+     "giant", "41082098c3ccf2f6"),
+])
+def test_config_hash_pinned(text, mode, pinned):
+    # the canonical form converts the model's numbers and beta to floats,
+    # fills the model, sampler and scan defaults and keeps a component's,
+    # a radial density's, nc_test's and moments' values as given
+    assert config_hash(parse_config(text, scan_mode=mode), 7) == pinned
+
+
+# words of the schema, so that a mutant can swap a family, kind or method
+_WORDS = ["cube", "simplex", "lq", "gob", "power", "linear", "cap", "pwl",
+          "indicator", "exponential", "power_decay", "gamma", "explicit",
+          "connectivity", "giant", "exact_cube", "exact_simplex", "exact_lq",
+          "hit_and_run", "origin_nudge", "analytic_center"]
+
+
+def _values(int_max):
+    # scalars, lists and small mappings; an integer above int_max is left
+    # out, since a vertex count that large would fill O(n^2) arrays
+    scalar = st.one_of(
+        st.integers(-10**6, int_max), st.floats(),
+        st.sampled_from([x for x in (10**18, 10**400, -10**400, 1e300, -1e300)
+                         if x <= int_max]),
+        st.text(max_size=6), st.sampled_from(_WORDS), st.booleans(), st.none())
+    return st.one_of(
+        scalar, st.lists(scalar, max_size=4),
+        st.dictionaries(st.sampled_from(["kind", "a", "q", "rate"]), scalar,
+                        max_size=2))
+
+
+_ANY_VALUE, _VERTEX_COUNT = _values(10**400), _values(500)
+
+
+def _paths(node, path=()):
+    """The path (keys and list indices) to every value below `node`."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@pytest.mark.parametrize("name,mode", [(name, mode) for name, mode, _ in _DOCUMENTED])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_configs_fail_only_as_config_errors(name, mode, data):
+    # a documented config with one value replaced, one key dropped or one
+    # unknown key added: it is rejected with a ConfigError, or it parses
+    # and its canonical form, dumped and parsed again, keeps its hash
+    raw = yaml.safe_load((DOCS / name).read_text())
+    paths = list(_paths(raw))
+    how = data.draw(st.sampled_from(["replace", "drop", "add"]))
+    if how == "add":
+        path = data.draw(st.sampled_from(
+            [()] + [p for p in paths if isinstance(_at(raw, p), dict)]))
+        key = "unknown_" + data.draw(st.text("abc", max_size=3))
+        _at(raw, path)[key] = data.draw(_ANY_VALUE)
+    elif how == "drop":
+        path = data.draw(st.sampled_from(
+            [p for p in paths if isinstance(_at(raw, p[:-1]), dict)]))
+        del _at(raw, path[:-1])[path[-1]]
+    else:
+        path = data.draw(st.sampled_from(paths))
+        vertex_count = path == ("model", "n") or path[:2] == ("scan", "n_list")
+        _at(raw, path[:-1])[path[-1]] = data.draw(
+            _VERTEX_COUNT if vertex_count else _ANY_VALUE)
+    try:
+        cfg = parse_config(yaml.safe_dump(raw), scan_mode=mode)
+        for n in cfg.n_list:
+            build_spec(cfg.model, n)
+    except ConfigError:
+        return
+    again = parse_config(yaml.safe_dump(cfg.canonical), scan_mode=mode)
+    assert config_hash(again, 7) == config_hash(cfg, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +626,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     # each of these once ended in a traceback and exit status 1
     simplex = "model: {family: simplex, n: 5}\n"
+    gob = "model: {family: gob, n: 3, component: %s}\n"
     scan = ("model: {family: simplex}\n"
             "scan: {n_list: [5], replicates: 30, pilot_draws: %s,\n"
             "       grid: {kind: gamma, gammas: %s}}\n")
@@ -537,11 +637,43 @@ def test_cli_exit_codes(tmp_path, capsys):
             ("scan-connectivity", scan % (0, "[0.5]")),
             ("scan-connectivity", scan % (10, "[0.5, abc]")),
             ("scan-connectivity", scan.replace("{n_list", "{mode: giant, n_list")
+             % (10, "[0.5]")),
+            ("scan-connectivity", scan % (10, "0.5")),
+            ("scan-connectivity", scan.replace("[5]", "5") % (10, "[0.5]")),
+            ("nc-test", "model: {family: cube, n: 5}\nnc_test: {quantile_range: 0.5}\n"),
+            ("sample", "model: {family: cube, n: [5]}\n"),
+            ("sample", "model: {family: cube, n: 3, scales: 2}\n"),
+            ("sample", "model: {family: gob, n: 3, components: 5}\n"),
+            ("sample", gob % "{kind: power, a: 1.0, q: 2.0}, radial_density: 5"),
+            ("sample", simplex + "sampler: {seed: [1]}\n"),
+            ("scan-connectivity", scan.replace("30", "[30]") % (10, "[0.5]")),
+            ("moments", "model: {family: cube, n: 5}\nmoments: {reps: [2000]}\n"),
+            ("sample", gob % "{kind: pwl, breakpoints: 5}"),
+            ("sample", gob % "{kind: power, a: abc}"),
+            ("sample", "model: {family: cube, n: 5, scale: null}\n"),
+            ("sample", "model: {family: lq, n: 5, q: [2]}\n"),
+            ("nc-test", "model: {family: cube, n: 5}\nnc_test: {configurations: 0}\n"),
+            # and each of these once ran, on a value other than the one given
+            ("sample", "model: {family: cube, n: 5.5}\n"),
+            ("sample", simplex + "sampler: {seed: '5'}\n"),
+            ("scan-connectivity", scan.replace("30", "30.0") % (10, "[0.5]")),
+            ("scan-connectivity", scan.replace("[5]", "[5.7]") % (10, "[0.5]")),
+            ("scan-giant", scan.replace("gammas: %s", "gammas: %s, sigma_normalized: 'no'")
+             % (10, "[0.5]")),
+            ("scan-connectivity",
+             scan.replace("gammas: %s", "gammas: %s, sigma_normalized: false")
              % (10, "[0.5]"))]:
         capsys.readouterr()
         cfg = _write_cfg(tmp_path, text)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2, text
         assert "config error" in capsys.readouterr().err
+
+    # a worker count below 1 is an argparse error, exit status 2
+    for workers in ("0", "-2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan-connectivity", "--config", ok, "--out", str(tmp_path / "o"),
+                  "--workers", workers])
+        assert exc.value.code == 2
 
 
 def test_cli_internal_value_error_exits_1(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from gobgraph import (Cap, GobSpec, Linear, SamplerConfig, ScanConfig, ScanRow,
                       ScanResult, er_connectivity_oracle, make_sampler,
                       resolve_grid, run_scan, substream, threshold_locator)
+from gobgraph import experiments
 from gobgraph.config import ConfigError
 
 
@@ -156,6 +157,38 @@ def test_simplex_scan_rows_identical_across_workers():
     b = run_scan(specs, sampler_cfg, cfg, 11, workers=2)
     assert a.rows == b.rows
     assert a.meta == b.meta
+
+
+@pytest.mark.parametrize("n_values,reps,workers,pool_size", [
+    ([5, 6], 200, 8, 4),     # four chunks: the pool is sized to them
+    ([5, 6], 200, 3, 3),
+    ([5], 100, 8, None),     # one chunk runs in this process, with no pool
+    ([5, 6], 200, 1, None),
+])
+def test_scan_pool_no_larger_than_its_tasks(monkeypatch, n_values, reps, workers,
+                                            pool_size):
+    # a process pool starts all its workers at once, so it gets no more
+    # than there are chunks; the stand-in records the size and maps here
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    serial = _cube_scan(n_values, reps, (0.3, 0.6))
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    pooled = _cube_scan(n_values, reps, (0.3, 0.6), workers=workers)
+    assert sizes == ([] if pool_size is None else [pool_size])
+    assert pooled.rows == serial.rows
 
 
 def test_scan_records_censor_level_and_edges_kept():
