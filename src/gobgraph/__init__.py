@@ -2,7 +2,7 @@
 laws on generalized Orlicz balls: samplers, graph statistics, moment and
 correlation estimators, and Monte Carlo threshold scans."""
 
-from .edges import edge_count, edge_endpoints, edge_index, edge_pairs
+from .edges import edge_count, edge_endpoints, edge_index
 from .estimators import (MomentEstimate, NcTestReport, estimate_moments,
                          marginal_bound_check, nc_test, wilson_interval)
 from .experiments import (Crossing, ScanConfig, ScanResult, ScanRow,

@@ -23,7 +23,7 @@ from .experiments import er_connectivity_oracle, threshold_locator
 from .report import emit_csv, emit_plotdata
 from .rng import MAX_SEED, substream
 from .samplers import draw_blocks, make_sampler, validate_sampler
-from .edges import edge_pairs
+from .edges import edge_endpoints
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -182,11 +182,11 @@ def _cmd_moments(args):
     est = estimate_moments(sampler, substream(seed, (_TAG_MOMENTS,)), reps)
     _write_manifest(args.out, "moments", cfg, seed)
     path = os.path.join(args.out, "moments.csv")
-    pairs = edge_pairs(spec.n)
+    ends = edge_endpoints(spec.n, np.arange(spec.dim))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("edge_i,edge_j,second_moment,stderr\n")
-        for e, (m, s) in enumerate(zip(est.second_moments, est.standard_errors)):
-            fh.write(f"{pairs[e][0]},{pairs[e][1]},{m:.6g},{s:.6g}\n")
+        for i, j, m, s in zip(*ends, est.second_moments, est.standard_errors):
+            fh.write(f"{i},{j},{m:.6g},{s:.6g}\n")
     print(f"sigma_min^2={est.sigma_min_sq:.6g} (edge {est.argmin}), "
           f"sigma_max^2={est.sigma_max_sq:.6g} (edge {est.argmax})")
     print(f"wrote {path}")

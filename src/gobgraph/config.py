@@ -24,6 +24,9 @@ from .orlicz import (Cap, ExponentialDecay, GobSpec, Indicator, Linear,
 from .samplers import SamplerConfig, check_method
 
 
+MAX_VERTICES = 10_000  # a dense edge vector at this n is 400 MB
+
+
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -162,6 +165,7 @@ def _parse_model(data):
     family = _read("model", _mapping("model", data), "family", _MODEL_KEYS)
     _check_keys("model", data, _MODEL_KEYS[family])
     n = _read("model", data, "n", "an integer or null", None)
+    _check_vertex_count("model.n", n)
     canon = {"family": family} if n is None else {"family": family, "n": n}
     if family == "gob":
         if ("component" in data) == ("components" in data):
@@ -254,6 +258,11 @@ def _parse_sampler(data, family):
         raise ConfigError(f"sampler: {exc}") from exc
 
 
+def _check_vertex_count(key, n):
+    if n is not None and n > MAX_VERTICES:
+        raise ConfigError(f"{key} must be at most {MAX_VERTICES}, got {n}")
+
+
 def _vertex_counts(n_list, n):
     """scan.n_list when given, else [model.n]."""
     if n_list is None:
@@ -262,6 +271,8 @@ def _vertex_counts(n_list, n):
         return [n]
     if not n_list:
         raise ConfigError("scan.n_list must be nonempty")
+    for entry in n_list:
+        _check_vertex_count("scan.n_list entries", entry)
     return n_list
 
 
@@ -278,9 +289,13 @@ def _parse_scan(data, mode, n):
         raise ConfigError("scan.grid is required")
     _check_keys("scan.grid", grid, _GRID_KEYS)
     kind = _read("scan.grid", grid, "kind", ("gamma", "explicit"), "gamma")
+    key, other = ("gammas", "values") if kind == "gamma" else ("values", "gammas")
+    # the canonical form records the other list empty, so that one may stay
+    if grid.get(other, []) != []:
+        raise ConfigError(f"scan.grid.{other} must be empty or absent when "
+                          f"scan.grid.kind is {kind}, got {grid[other]!r}")
     # ScanConfig checks that the entries are numbers
-    entries = _read("scan.grid", grid, "gammas" if kind == "gamma" else "values",
-                    "a list", [])
+    entries = _read("scan.grid", grid, key, "a list", [])
     sigma_normalized = _read("scan.grid", grid, "sigma_normalized", "true or false",
                              mode == "connectivity")
     if mode == "connectivity" and not sigma_normalized:

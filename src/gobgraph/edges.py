@@ -4,8 +4,6 @@ Edge coordinates are stored in row-major order over pairs (i, j) with
 i < j (0-based): (0,1), (0,2), ..., (0,n-1), (1,2), ...
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 
@@ -14,16 +12,6 @@ def edge_count(n):
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got n={n}")
     return n * (n - 1) // 2
-
-
-@lru_cache(maxsize=64)
-def edge_pairs(n):
-    """(d, 2) int array of all pairs (i, j), i < j, in canonical order."""
-    edge_count(n)  # validates n
-    i, j = np.triu_indices(n, k=1)
-    pairs = np.column_stack([i, j])
-    pairs.setflags(write=False)
-    return pairs
 
 
 def edge_index(n, i, j):

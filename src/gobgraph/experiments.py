@@ -19,6 +19,7 @@ recorded per n in the result's meta, not in the rows.
 
 import math
 import numbers
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -58,9 +59,10 @@ class ScanConfig:
         if bool(self.gammas) == bool(self.values):
             raise ValueError("exactly one of gammas / values must be set")
         grid = self.gammas or self.values
+        # a finite float: an integer beyond the float range cannot be one
         if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                   for v in grid):
-            raise ValueError(f"grid entries must be numbers, got {list(grid)}")
+                   and abs(v) <= sys.float_info.max for v in grid):
+            raise ValueError(f"grid entries must be finite numbers, got {list(grid)}")
         if self.pilot_draws < 1:
             raise ValueError(f"need pilot_draws >= 1, got {self.pilot_draws}")
 

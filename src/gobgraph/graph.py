@@ -18,7 +18,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .edges import edge_count, edge_endpoints, edge_pairs
+from .edges import edge_count, edge_endpoints
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def build_graph(x, n, p):
     """Threshold an edge vector: keep exactly the pairs with x_e <= p."""
     p = _check_p(p)
     keep = np.nonzero(_edge_values(x, n) <= p)[0]
-    return ThresholdGraph(n=n, p=p, edges=edge_pairs(n)[keep])
+    return ThresholdGraph(n=n, p=p, edges=np.column_stack(edge_endpoints(n, keep)))
 
 
 def _check_p(p):

@@ -123,10 +123,10 @@ class PiecewiseLinearConvex:
         return out if out.ndim else float(out)
 
     def slope(self, t):
-        """Right-hand slope at a scalar t >= 0 (the final slope beyond the
-        last breakpoint)."""
-        k = int(np.searchsorted(self._t, t, side="right")) - 1
-        return float(self._slopes[min(k, len(self._slopes) - 1)])
+        """Right-hand slope at t >= 0, a scalar or an array (the final
+        slope beyond the last breakpoint)."""
+        k = np.searchsorted(self._t, t, side="right") - 1
+        return self._slopes[np.minimum(k, len(self._slopes) - 1)]
 
     def inverse_at(self, level):
         # Exact crossing of the piecewise-linear graph with the given level;
@@ -200,10 +200,13 @@ class GobSpec:
 
     `components` is either a single component (applied uniformly to every
     edge) or a sequence of length n(n-1)/2 in canonical edge order.  The
-    optional `radial_density` reweights the uniform law on the ball.  A
-    uniform spec builds its per-edge arrays with `np.full` from the one
-    component, with no per-edge Python work; they equal, bit for bit, the
-    arrays of the same component listed once per edge.
+    optional `radial_density` reweights the uniform law on the ball.
+    `self.components` lists the shared component of a uniform spec once,
+    and otherwise every edge's component in edge order.  A uniform
+    spec keeps its parameters (`a` and the grouped ones) as 0-d float64
+    values over `slice(None)` groups, so it costs O(1) memory at any n;
+    they broadcast through the same numpy expressions as a per-edge
+    spec's (d,) arrays.
     """
 
     def __init__(self, n, components, radial_density=None):
@@ -211,30 +214,32 @@ class GobSpec:
         self.dim = edge_count(self.n)
         self.radial_density = radial_density or Indicator()
 
-        if isinstance(components, (list, tuple)):
-            comps = list(components)
-            if len(comps) != self.dim:
-                raise ValueError(
-                    f"need {self.dim} components for n={self.n}, got {len(comps)}"
-                )
-            self.uniform = False
-        else:
-            comps = [components] * self.dim
-            self.uniform = True
-        self.components = comps
-
+        self.uniform = not isinstance(components, (list, tuple))
         if self.uniform:
-            self.a = np.full(self.dim, components.inverse_at(1.0))
+            self.components = [components]
         else:
-            self.a = np.array([c.inverse_at(1.0) for c in comps])
+            self.components = list(components)
+            if len(self.components) != self.dim:
+                raise ValueError(f"need {self.dim} components for n={self.n}, "
+                                 f"got {len(self.components)}")
+
+        self.a = self._per_edge(range(len(self.components)),
+                                lambda c: c.inverse_at(1.0))
         if not np.all(np.isfinite(self.a)):
             raise ValueError("every component must have a finite extent")
 
         self._build_groups()
 
+    def _per_edge(self, idx, value):
+        # value(c) for the components at positions idx; for a uniform spec
+        # one 0-d array, which numpy takes as an operand faster than a
+        # numpy scalar
+        values = np.array([value(self.components[k]) for k in idx], dtype=float)
+        return values.reshape(()) if self.uniform else values
+
     def _build_groups(self):
         lin, powr, cap, pwl = [], [], [], []
-        for k, c in enumerate(self.distinct_components()):
+        for k, c in enumerate(self.components):
             if isinstance(c, Linear):
                 lin.append(k)
             elif isinstance(c, Power):
@@ -245,47 +250,33 @@ class GobSpec:
                 pwl.append(k)
             else:
                 raise TypeError(f"unknown component type: {type(c)!r}")
-        if self.uniform:  # the one component stands for every edge
-            lin, powr, cap, pwl = (range(self.dim) if idx else []
-                                   for idx in (lin, powr, cap, pwl))
 
         def pack(idx):
             # full coverage -> slice, avoids fancy-index copies in hot paths
-            return slice(None) if len(idx) == self.dim else np.array(idx, dtype=np.intp)
-
-        def per_edge(idx, attr):
-            if self.uniform:
-                return np.full(self.dim, getattr(self.components[0], attr))
-            return np.array([getattr(self.components[k], attr) for k in idx])
+            if self.uniform or len(idx) == self.dim:
+                return slice(None)
+            return np.array(idx, dtype=np.intp)
 
         self._lin_idx = pack(lin) if lin else None
         if lin:
-            self._lin_inv = 1.0 / per_edge(lin, "a")
+            self._lin_inv = self._per_edge(lin, lambda c: 1.0 / c.a)
         self._pow_idx = pack(powr) if powr else None
         if powr:
-            self._pow_inv = 1.0 / per_edge(powr, "a")
-            self._pow_q = per_edge(powr, "q")
+            self._pow_inv = self._per_edge(powr, lambda c: 1.0 / c.a)
+            self._pow_q = self._per_edge(powr, lambda c: c.q)
             # d/dy (y/a)^q = (q/a) (y/a)^(q-1)
-            self._pow_q1 = self._pow_q - 1.0
-            self._pow_dinv = self._pow_q * self._pow_inv
+            self._pow_q1 = self._per_edge(powr, lambda c: c.q - 1.0)
+            self._pow_dinv = self._per_edge(powr, lambda c: c.q * (1.0 / c.a))
         self._cap_idx = pack(cap) if cap else None
         if cap:
-            self._cap_a = per_edge(cap, "a")
-        self._pwl = [(k, self.components[k]) for k in pwl]
+            self._cap_a = self._per_edge(cap, lambda c: c.a)
+        # (coordinates, component): every edge for a uniform spec, else one
+        self._pwl = [(slice(None) if self.uniform else slice(k, k + 1),
+                      self.components[k]) for k in pwl]
         # no PWL component and every Power a square: G along any line is
         # g0 + s*t + A*t^2 inside the coordinate box
         self.quadratic = not pwl and all(
-            c.q == 2.0 for c in self.distinct_components() if isinstance(c, Power))
-
-    def __reduce__(self):
-        # rebuild from the constructor's arguments: a uniform spec pickles
-        # in a few hundred bytes, not as its O(d) per-edge arrays
-        comps = self.components[0] if self.uniform else self.components
-        return type(self), (self.n, comps, self.radial_density)
-
-    def distinct_components(self):
-        """The shared component of a uniform spec, else every component."""
-        return self.components[:1] if self.uniform else self.components
+            c.q == 2.0 for c in self.components if isinstance(c, Power))
 
     # -- geometric queries --------------------------------------------------
 
@@ -310,19 +301,19 @@ class GobSpec:
         """
         g = slope = 0.0
         if self._lin_idx is not None:
-            g += float(y[self._lin_idx] @ self._lin_inv)
+            g += float(_weighted_sum(y[self._lin_idx], self._lin_inv))
             if v is not None:
-                slope += float(v[self._lin_idx] @ self._lin_inv)
+                slope += float(_weighted_sum(v[self._lin_idx], self._lin_inv))
         if self._pow_idx is not None:
             z = y[self._pow_idx] * self._pow_inv
             zq1 = z ** self._pow_q1
             g += float(z @ zq1)
             if v is not None:
                 slope += float((v[self._pow_idx] * self._pow_dinv) @ zq1)
-        for k, c in self._pwl:
-            g += float(c.value(y[k]))
+        for idx, c in self._pwl:
+            g += float(c.value(y[idx]).sum())
             if v is not None:
-                slope += c.slope(y[k]) * float(v[k])
+                slope += float(c.slope(y[idx]) @ v[idx])
         return g, slope
 
     def line(self, x, u):
@@ -349,14 +340,14 @@ class GobSpec:
             raise ValueError(f"expected shape (m, {self.dim}), got {X.shape}")
         s = np.zeros(X.shape[0])
         if self._lin_idx is not None:
-            s += X[:, self._lin_idx] @ self._lin_inv
+            s += _weighted_sum(X[:, self._lin_idx], self._lin_inv)
         if self._pow_idx is not None:
-            # one temporary, powered in place: see samplers._draw_on_chord
+            # z * z^(q-1), as in total_and_slope: numpy's loops for a 0-d
+            # exponent of 2 or 0.5 differ in the last bit from its array pow
             P = X[:, self._pow_idx] * self._pow_inv
-            P **= self._pow_q
-            s += np.sum(P, axis=1)
-        for k, c in self._pwl:
-            s += c.value(X[:, k])
+            s += np.sum(P ** self._pow_q1 * P, axis=1)
+        for idx, c in self._pwl:
+            s += c.value(X[:, idx]).sum(axis=1)
         if self._cap_idx is not None:
             bad = np.any(X[:, self._cap_idx] > self._cap_a, axis=1)
             s = np.where(bad, INF, s)
@@ -457,6 +448,11 @@ class GobSpec:
             f"(t={t!r}, G-1={excess!r}, slope={slope!r})")
 
 
+def _weighted_sum(x, w):
+    # x @ w over the last axis; a 0-d w is the weight every coordinate shares
+    return x @ w if w.ndim else x.sum(axis=-1) * w
+
+
 def box_bracket(x, u, a):
     """Limits (lo, hi) >= 0 with x + t*u in the box [0, a] for t in [-lo, hi].
 
@@ -469,7 +465,7 @@ def box_bracket(x, u, a):
     nan-skipping reductions drop: either way the coordinate bounds
     neither step.  Each limit equals the per-direction quotient bit for
     bit, since -x/u == x/(-u) in IEEE arithmetic.  x must be finite and
-    lie in [0, a].
+    lie in [0, a]; a is per-edge, or 0-d for a uniform spec.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         A = (a - x) / u

@@ -228,10 +228,10 @@ def start_point(spec, mode):
     """
     d = spec.dim
     if mode == "origin_nudge":
-        return spec.a / (2.0 * d)
+        return np.broadcast_to(spec.a, (d,)) / (2.0 * d)
     if mode == "analytic_center":
         level = 1.0 / (2.0 * d)
-        extents = np.array([c.inverse_at(level) for c in spec.distinct_components()])
+        extents = np.array([c.inverse_at(level) for c in spec.components])
         return 0.5 * np.broadcast_to(extents, (d,))
     raise ValueError(f"unknown start mode {mode!r}")
 
@@ -304,15 +304,16 @@ def _hit_and_run_linear(spec, x, stream, count, burn, thin):
 
     The constraint sum is affine along any line, so both chord endpoints
     come from closed forms: the box limits of `box_bracket`, cut by the
-    level set of the sum.  The running sum g is updated incrementally and
-    refreshed periodically against float drift.
+    level set of the sum.  The running sum g = x @ w, w the per-edge
+    weights 1/a of the linear coordinates (0 on caps), is updated
+    incrementally and refreshed periodically against float drift.
     """
     d = spec.dim
     a = spec.a
     w = np.zeros(d)
     if spec._lin_idx is not None:
         w[spec._lin_idx] = spec._lin_inv
-    g = spec.total(x)
+    g = float(x @ w)
     out = np.empty((count, d))
     k = 0
     total_steps = burn + count * thin
@@ -336,7 +337,7 @@ def _hit_and_run_linear(spec, x, stream, count, burn, thin):
         np.maximum(x, 0.0, out=x)
         g += t * s
         if step % 1024 == 1023:
-            g = spec.total(x)
+            g = float(x @ w)
         if step >= burn and (step - burn) % thin == thin - 1:
             out[k] = x
             k += 1
@@ -344,11 +345,11 @@ def _hit_and_run_linear(spec, x, stream, count, burn, thin):
 
 
 def _all_of(spec, kind):
-    return all(isinstance(c, kind) for c in spec.distinct_components())
+    return all(isinstance(c, kind) for c in spec.components)
 
 
 def _uniform_power_q(spec):
-    qs = {c.q for c in spec.distinct_components()}
+    qs = {c.q for c in spec.components}
     return qs.pop() if len(qs) == 1 else None
 
 
@@ -370,21 +371,17 @@ def make_sampler(spec, cfg):
     check_method(spec, cfg.method)
     n = spec.n
     if cfg.method == "exact_cube":
-        scales = spec.a.copy()
-        return lambda stream, count: sample_cube(n, stream, count, scales)
+        return lambda stream, count: sample_cube(n, stream, count, spec.a)
     if cfg.method == "exact_simplex":
         coeffs = 1.0 / spec.a
         level = cfg.censor_above
         if level is None:
             return lambda stream, count: sample_simplex(n, coeffs, stream, count)
-        if spec.uniform:  # one scalar spares O(d) work per draw
-            coeffs = coeffs[0]
         return lambda stream, count: sample_simplex_censored(
             n, coeffs, level, stream, count)
     if cfg.method == "exact_lq":
         q = _uniform_power_q(spec)
-        scales = spec.a.copy()
-        return lambda stream, count: sample_lq_orthant(n, q, scales, stream, count)
+        return lambda stream, count: sample_lq_orthant(n, q, spec.a, stream, count)
     return lambda stream, count: hit_and_run(spec, cfg, stream, count)
 
 

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import gobgraph
 from gobgraph import cli, samplers
 from gobgraph.cli import main
-from gobgraph.config import ConfigError, build_spec, config_hash, parse_config
+from gobgraph.config import (MAX_VERTICES, ConfigError, build_spec, config_hash,
+                             parse_config)
 from gobgraph.experiments import er_connectivity_oracle
 from gobgraph.report import CSV_HEADER, emit_csv, emit_plotdata
 from gobgraph.experiments import ScanResult, ScanRow
@@ -159,8 +160,7 @@ _WORDS = ["cube", "simplex", "lq", "gob", "power", "linear", "cap", "pwl",
 
 
 def _values(int_max):
-    # scalars, lists and small mappings; an integer above int_max is left
-    # out, since a vertex count that large would fill O(n^2) arrays
+    # scalars, lists and small mappings, with integers up to int_max
     scalar = st.one_of(
         st.integers(-10**6, int_max), st.floats(),
         st.sampled_from([x for x in (10**18, 10**400, -10**400, 1e300, -1e300)
@@ -172,7 +172,9 @@ def _values(int_max):
                         max_size=2))
 
 
-_ANY_VALUE, _VERTEX_COUNT = _values(10**400), _values(500)
+# vertex counts reach past the bound: a uniform spec costs O(1) at any n,
+# and a count above config.MAX_VERTICES is a config error before any draw
+_ANY_VALUE, _VERTEX_COUNT = _values(10**400), _values(2 * MAX_VERTICES)
 
 
 def _paths(node, path=()):
@@ -662,11 +664,32 @@ def test_cli_exit_codes(tmp_path, capsys):
              % (10, "[0.5]")),
             ("scan-connectivity",
              scan.replace("gammas: %s", "gammas: %s, sigma_normalized: false")
-             % (10, "[0.5]"))]:
+             % (10, "[0.5]")),
+            # a grid entry beyond the float range once ended in OverflowError
+            ("scan-connectivity", scan % (10, f"[0.5, {10**400}]")),
+            ("scan-connectivity", scan.replace("kind: gamma, gammas", "kind: explicit, values")
+             % (10, f"[{10**400}]")),
+            # the grid list that kind does not name was once dropped unread
+            ("scan-connectivity", scan.replace("gammas: %s", "gammas: %s, values: [0.5]")
+             % (10, "[0.5]")),
+            ("scan-connectivity", scan.replace("kind: gamma, gammas: %s",
+                                               "kind: explicit, values: [0.5], gammas: %s")
+             % (10, "[1.0]"))]:
         capsys.readouterr()
         cfg = _write_cfg(tmp_path, text)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2, text
         assert "config error" in capsys.readouterr().err
+
+    # a vertex count above the bound (10**8 once ended in MemoryError);
+    # zero draws keep the command cheap should the bound ever be missing
+    for n in (MAX_VERTICES + 1, 10**8):
+        for text in (f"model: {{family: cube, n: {n}}}\n",
+                     scan.replace("[5]", f"[{n}]") % (10, "[0.5]")):
+            capsys.readouterr()
+            cfg = _write_cfg(tmp_path, text)
+            assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--count", "0"]) == 2, text
+            assert "config error" in capsys.readouterr().err
 
     # a worker count below 1 is an argparse error, exit status 2
     for workers in ("0", "-2"):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gobgraph import (build_graph, components, components_bfs, edge_count,
-                      edge_endpoints, edge_index, edge_pairs, histogram_stats,
+                      edge_endpoints, edge_index, histogram_stats,
                       small_component_mass, threshold_sweep)
 from gobgraph.experiments import _cell_counts
 
@@ -20,23 +20,24 @@ def test_edge_count_values():
     assert edge_count(50) == 1225
 
 
-def test_edge_pairs_canonical_order():
-    pairs = edge_pairs(4)
-    assert pairs.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+def test_edge_endpoints_canonical_order():
+    i, j = edge_endpoints(4, np.arange(6))
+    assert list(zip(i.tolist(), j.tolist())) == [
+        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 def test_edge_index_roundtrip():
     n = 7
-    pairs = edge_pairs(n)
-    for e, (i, j) in enumerate(pairs.tolist()):
-        assert edge_index(n, i, j) == e
+    i, j = np.triu_indices(n, k=1)
+    for e, pair in enumerate(zip(i.tolist(), j.tolist())):
+        assert edge_index(n, *pair) == e
 
 
 def test_edge_endpoints_invert_the_canonical_order():
     for n in range(2, 201):
         i, j = edge_endpoints(n, np.arange(edge_count(n)))
-        pairs = edge_pairs(n)
-        assert np.array_equal(i, pairs[:, 0]) and np.array_equal(j, pairs[:, 1])
+        ti, tj = np.triu_indices(n, k=1)  # the canonical order, as a table
+        assert np.array_equal(i, ti) and np.array_equal(j, tj)
     # n = 2000: the first and last edge of every row, and their neighbours
     n = 2000
     rows = np.arange(n - 1)

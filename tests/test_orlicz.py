@@ -78,7 +78,8 @@ def test_pwl_value_and_extrapolation():
 def test_inverse_at_one_exact_kinds():
     for f, a in ((Power(a=2, q=3), 2.0), (Linear(a=0.5), 0.5), (Cap(a=1.0), 1.0)):
         assert f.inverse_at(1.0) == a
-        assert GobSpec(3, f).a.tolist() == [a] * 3
+        assert GobSpec(3, f).a.shape == ()  # one extent for every edge
+        assert np.broadcast_to(GobSpec(3, f).a, (3,)).tolist() == [a] * 3
 
 
 def _bisect_inverse(f, lo=0.0, hi=1e6, tol=1e-13):
@@ -254,7 +255,7 @@ def test_chord_against_grid_march():
 ])
 def test_chord_endpoints_property(spec):
     rng = np.random.default_rng(99)
-    x = spec.a / (2.0 * spec.dim)
+    x = _extents(spec) / (2.0 * spec.dim)
     for _ in range(25):
         u = rng.standard_normal(spec.dim)
         u /= np.linalg.norm(u)
@@ -271,13 +272,18 @@ def test_chord_endpoints_property(spec):
             assert np.any(y < 0) or spec.total(np.clip(y, 0, None)) >= 1.0 - TOL
 
 
+def _extents(spec):
+    # the per-edge extents; a uniform spec holds its one extent 0-d
+    return np.broadcast_to(spec.a, (spec.dim,))
+
+
 def _bisect_ray(spec, x, v, tol=1e-14):
     # independent oracle: sup{t >= 0 : x + t*v in the box and the ball}
     def feasible(t):
         y = x + t * v
         return (np.all(y >= 0) and np.all(y <= spec.a)
                 and spec.total(y) <= 1.0)
-    lo, hi = 0.0, float(np.linalg.norm(spec.a)) + 1.0  # past the box
+    lo, hi = 0.0, float(np.linalg.norm(_extents(spec))) + 1.0  # past the box
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
@@ -426,7 +432,8 @@ _quadratic_components = st.one_of(
 
 def _interior_point(spec, w, frac):
     # scale w * a to the boundary along its ray, then back inside by frac
-    return frac * _bisect_ray(spec, np.zeros(spec.dim), w * spec.a) * w * spec.a
+    v = w * _extents(spec)
+    return frac * _bisect_ray(spec, np.zeros(spec.dim), v) * v
 
 
 @settings(max_examples=200, deadline=None)
@@ -484,14 +491,14 @@ def test_chord_quadratic_flat_line_is_the_box():
 def _affine_chord(spec, x, u):
     # the former closed form for specs with no Power and no PWL component,
     # kept as the oracle for the A = 0 case of the quadratic chord
+    # (G and its slope are the spec's: a uniform spec sums u in place of
+    # a dot with per-edge weights)
     lo, hi = box_bracket(x, u, spec.a)
-    s = 0.0
-    if spec._lin_idx is not None:
-        s = float(u[spec._lin_idx] @ spec._lin_inv)
+    g, s = spec.total_and_slope(x, u)
     if s > 0:
-        hi = min(hi, (1.0 - spec.total(x)) / s)
+        hi = min(hi, (1.0 - g) / s)
     elif s < 0:
-        lo = min(lo, (1.0 - spec.total(x)) / -s)
+        lo = min(lo, (1.0 - g) / -s)
     return -max(lo, 0.0), max(hi, 0.0)
 
 
@@ -553,17 +560,61 @@ def _assert_same_arrays(shared, listed):
     PiecewiseLinearConvex([(0, 0), (1, 0.5), (2, 2)]),
 ], ids=["linear", "power", "cap", "pwl"])
 def test_uniform_spec_arrays_equal_per_edge_build(component):
+    # a uniform spec holds one component and 0-d parameters over
+    # slice(None) groups; broadcast, they are the per-edge build's arrays
     shared = GobSpec(9, component)
     listed = GobSpec(9, [component] * 36)
     assert shared.uniform and not listed.uniform
-    _assert_same_arrays(shared, listed)
-    assert shared._pwl == listed._pwl
-    assert shared.components == listed.components
+    assert shared.components == [component]
+    for name in _SPEC_ARRAYS:
+        a, b = getattr(shared, name, None), getattr(listed, name, None)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, ()), name
+            assert np.broadcast_to(a, b.shape).tobytes() == b.tobytes(), name
+        else:
+            assert a == b, name
+    assert shared._pwl == ([(slice(None), component)] if listed._pwl else [])
+
+
+@pytest.mark.parametrize("component, bitwise", [
+    (Cap(0.8), True), (Power(1.3, 2.0), True), (Linear(0.7), False),
+    (Power(1.3, 2.5), False), (Power(1.3, 1.5), False), (Power(1.3, 3.0), False),
+    (PiecewiseLinearConvex([(0, 0), (0.5, 0.3), (1, 1.2)]), False),
+], ids=["cap", "power2", "linear", "power2.5", "power1.5", "power3", "pwl"])
+def test_uniform_spec_queries_match_per_edge(component, bitwise):
+    # one ball as a shared component and as that component listed per
+    # edge.  Cap and Power q = 2 run the same numpy expressions either
+    # way; a 0-d linear weight is a sum in place of a dot, a 0-d exponent
+    # of 2 or 0.5 takes numpy's scalar-power loops, and a uniform PWL is
+    # summed in one pass, so those agree to rounding
+    n, d = 7, 21
+    shared, listed = GobSpec(n, component), GobSpec(n, [component] * d)
+    rng = np.random.default_rng(17)
+    ext = listed.a
+    inside = ext * rng.uniform(0.01, 1.0, (8, d)) / (2 * d)  # G <= 1/2
+    anywhere = ext * rng.uniform(0.0, 1.2, (8, d))  # beyond caps and ball
+    units = rng.standard_normal((8, d))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+
+    def ask(spec):
+        out = list(spec.total_batch(np.vstack([inside, anywhere])))
+        for x in np.vstack([inside, anywhere]):
+            out += [spec.total(x), spec.strictly_inside(x)]
+        for x, u in zip(inside, units):
+            out += [*spec.line(x, u), *spec.chord(x, u)]
+        # a curvature of None (no quadratic form) reads as nan
+        return np.array([np.nan if v is None else v for v in out], dtype=float)
+
+    got, want = ask(shared), ask(listed)
+    if bitwise:
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_uniform_spec_pickles_small():
-    # a scan sends its spec to every worker chunk; at n = 2000 the per-edge
-    # arrays alone are tens of MB
+    # a scan sends its spec to every worker chunk; a uniform spec holds no
+    # per-edge array, so it pickles in a few hundred bytes at any n
     assert len(pickle.dumps(GobSpec(2000, Linear(1.0)))) < 1000
 
 
@@ -582,7 +633,7 @@ def test_unpickled_spec_equals_original(spec):
     assert repr(copy.components) == repr(spec.components)
     assert repr(copy.radial_density) == repr(spec.radial_density)
     assert [k for k, _ in copy._pwl] == [k for k, _ in spec._pwl]
-    x = spec.a / (2.0 * spec.dim)
+    x = _extents(spec) / (2.0 * spec.dim)
     u = np.linspace(-1.0, 1.0, spec.dim) + 0.1
     assert copy.chord(x, u) == spec.chord(x, u)
 

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,6 +219,20 @@ def test_hit_and_run_box_uniform():
     assert np.mean(X[:, 0] ** 2) == pytest.approx(1 / 3, abs=0.01)
 
 
+@pytest.mark.parametrize("a, digest", [(1.0, "06a6a56dcd478a19"),
+                                       (0.7, "417d1fd2ee4a3f18")])
+def test_linear_chain_bytes_uniform_as_per_edge(a, digest):
+    # the linear chain (criterion 3's sampler) keeps its running sum in its
+    # own weights, so a uniform spec's 0-d parameters change no byte; the
+    # digests are the chain's before the 0-d representation, and 3300
+    # steps cross three refreshes of the sum
+    cfg = SamplerConfig(method="hit_and_run", burn_in=300, thinning=15)
+    shared, listed = (hit_and_run(GobSpec(6, comps), cfg, _stream(31), 200)
+                      for comps in (Linear(a), [Linear(a)] * 15))
+    assert shared.tobytes() == listed.tobytes()
+    assert hashlib.sha256(shared.tobytes()).hexdigest()[:16] == digest
+
+
 def test_hit_and_run_stays_on_ball():
     spec = GobSpec(3, [Linear(1.0), Power(a=1.0, q=2.0), Cap(0.5)])
     cfg = SamplerConfig(method="hit_and_run", burn_in=100, thinning=3)
@@ -403,6 +420,23 @@ def test_zero_count_draw_is_empty_and_free(spec, method):
     empty = sampler(probed, 0)
     assert empty.shape == (0, spec.dim)
     assert np.array_equal(sampler(probed, 3), sampler(fresh, 3))
+
+
+@pytest.mark.parametrize("component, method", [
+    (Linear(1.0), "exact_simplex"), (Cap(1.0), "exact_cube"),
+    (Power(1.0, 2.0), "exact_lq"),
+])
+def test_uniform_spec_and_sampler_hold_no_edge_array(component, method):
+    # at n = 3000 one float64 per edge is 36 MB; a uniform spec and its
+    # exact sampler hold O(1) memory (the first draw allocates its block)
+    tracemalloc.start()
+    try:
+        make_sampler(GobSpec(3000, component),
+                     SamplerConfig(method=method, censor_above=0.01))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_draw_blocks_rule_and_exact_concatenation():
