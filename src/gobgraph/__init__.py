@@ -9,8 +9,7 @@ from .experiments import (Crossing, ScanConfig, ScanResult, ScanRow,
                           er_connectivity_oracle, resolve_grid, run_scan,
                           threshold_locator)
 from .graph import (ComponentStats, ThresholdGraph, build_graph, components,
-                    components_bfs, histogram_stats, small_component_mass,
-                    threshold_sweep)
+                    components_bfs, small_component_mass, threshold_sweep)
 from .orlicz import (Cap, ExponentialDecay, GobSpec, Indicator, Linear,
                      PiecewiseLinearConvex, Power, PowerDecay)
 from .rng import substream

@@ -38,6 +38,8 @@ _TAG_VALIDATE = 104
 _TAG_MARGINAL = 105
 
 _NC_PILOT_DRAWS = 4000  # nc-test sets its thresholds from this many draws
+# `sample` writes at most this many numbers (count * d), about 1.2 GB of text
+MAX_SAMPLE_NUMBERS = 10**8
 
 
 class ValidationFailure(Exception):
@@ -120,6 +122,11 @@ def _cmd_sample(args):
     time, so memory stays bounded however many draws are asked for."""
     cfg, seed = _load(args)
     spec = _single_spec(cfg)
+    if args.count * spec.dim > MAX_SAMPLE_NUMBERS:
+        raise ConfigError(
+            f"--count {args.count} at n={spec.n} asks for {args.count * spec.dim} "
+            f"numbers; sample writes at most {MAX_SAMPLE_NUMBERS}, so --count "
+            f"<= {MAX_SAMPLE_NUMBERS // spec.dim} at this n")
     sampler = make_sampler(spec, cfg.sampler)
     stream = substream(seed, (_TAG_SAMPLE,))
     _write_manifest(args.out, "sample", cfg, seed)

@@ -3,11 +3,11 @@ giant-component regimes, plus the exact small-n oracle.
 
 Within a replicate one edge vector is drawn and thresholded at every p
 on the grid (coupling), which enforces monotonicity in p and cuts the
-variance of crossing-point estimates.  The whole grid is read off one
-Newman-Ziff sweep per replicate (`graph.threshold_sweep`): every
-accumulator comes from the component-order histogram at each p.  All
-per-cell accumulators are integers, so reduction is exact and
-order-independent: results do not depend on the worker count.
+variance of crossing-point estimates.  The replicates of a chunk are
+swept together, in batches (`graph.threshold_sweep`): every accumulator
+comes from the batch's component orders at each p.  All per-cell
+accumulators are integers, so reduction is exact and order-independent:
+results do not depend on the worker count or on where a batch ends.
 
 A replicate needs only the coordinates at or below the grid's largest p,
 so the chunks' sampler config carries that level as `censor_above`; the
@@ -33,6 +33,7 @@ from .graph import threshold_sweep
 # wraps these two names in this module
 from .graph import build_graph, components  # noqa: F401
 from .rng import substream
+from . import samplers
 from .samplers import draw_blocks, make_sampler
 
 _CHUNK = 100  # replicates per work item; fixed so results ignore worker count
@@ -122,50 +123,56 @@ def _pilot_sigma(sampler, stream, draws, dim):
     return math.sqrt(total / (draws * dim))
 
 
-# integer accumulators per grid cell, in the order `_cell_counts` returns them
+# integer accumulators per grid cell, in the order `_cell_sums` returns them
 _ACC_KEYS = ("connected", "has_isolated", "mid", "big", "giant",
              "isolated_sum", "max_comp_sum", "small_mass_sum")
 
 
-def _cell_counts(hist, n, big_thresh, mass_cutoff):
-    """One replicate's contribution to each accumulator, from the
-    {component order: count} histogram of its graph at one p."""
-    largest = max(hist)
-    isolated = hist.get(1, 0)
-    giants = small_mass = 0
-    mid = False
-    for order, count in hist.items():
-        if order > n / 2:
-            giants += count
-        elif order >= big_thresh:
-            mid = True
-        if order <= mass_cutoff:
-            small_mass += order * count
-    if giants > 1:
+def _cell_sums(orders, n, big_thresh, mass_cutoff):
+    """Each accumulator summed over a batch of graphs at one p, from the
+    (graphs, n) component orders `graph.threshold_sweep` yields."""
+    largest = orders.max(axis=1)
+    isolated = np.count_nonzero(orders == 1, axis=1)
+    giants = np.count_nonzero(orders > n / 2, axis=1)
+    if giants.max() > 1:
         raise RuntimeError(
-            f"pigeonhole violated: {giants} components of order > n/2 at n={n}")
-    return (int(largest == n), int(isolated > 0), int(mid),
-            int(largest >= big_thresh), giants, isolated, largest, small_mass)
+            f"pigeonhole violated: {giants.max()} components of order > n/2 at n={n}")
+    mid = np.any((orders >= big_thresh) & (orders <= n / 2), axis=1)
+    small_mass = np.where(orders <= mass_cutoff, orders, 0).sum()
+    return (np.count_nonzero(largest == n), np.count_nonzero(isolated),
+            np.count_nonzero(mid), np.count_nonzero(largest >= big_thresh),
+            giants.sum(), isolated.sum(), largest.sum(), small_mass)
 
 
 def _scan_chunk(payload):
-    """Run replicates [r0, r1) for one (n, grid) cell row; integer sums only."""
+    """Run replicates [r0, r1) for one (n, grid) cell row; integer sums only.
+
+    Each replicate's draw is cut to its coordinates at or below the grid's
+    largest p, and the cut draws go to `graph.threshold_sweep` in batches:
+    a batch is swept once it holds `samplers._BLOCK_BYTES // 16` kept
+    coordinates (an 8-byte position and an 8-byte value each), and at the
+    end of the chunk.
+    """
     spec, sampler_cfg, p_values, master_seed, n_index, r0, r1, beta = payload
     n = spec.n
     sampler = make_sampler(spec, sampler_cfg)
     big_thresh = beta * math.log(n)
     mass_cutoff = max(1, math.floor(big_thresh))
     level = max(p_values)
-    counts = []
-    edges_kept = 0
+    sums = np.zeros((len(p_values), len(_ACC_KEYS)), dtype=np.int64)
+    batch = []
+    held = edges_kept = 0
     for r in range(r0, r1):
-        stream = substream(master_seed, (n_index, r + 1))
-        x = sampler(stream, 1)[0]
-        edges_kept += int(np.count_nonzero(x <= level))
-        for hist in threshold_sweep(x, n, p_values):
-            counts.append(_cell_counts(hist, n, big_thresh, mass_cutoff))
-    sums = np.array(counts, dtype=np.int64).reshape(
-        r1 - r0, len(p_values), len(_ACC_KEYS)).sum(axis=0)
+        x = sampler(substream(master_seed, (n_index, r + 1)), 1)[0]
+        kept = np.flatnonzero(x <= level)
+        batch.append((kept, x[kept]))
+        held += len(kept)
+        if held >= samplers._BLOCK_BYTES // 16 or r == r1 - 1:
+            for k, orders in threshold_sweep(n, batch, p_values):
+                sums[k] += _cell_sums(orders, n, big_thresh, mass_cutoff)
+            edges_kept += held
+            batch = []
+            held = 0
     out = {key: sums[:, j] for j, key in enumerate(_ACC_KEYS)}
     out["edges_kept"] = edges_kept
     return out

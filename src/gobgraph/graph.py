@@ -4,17 +4,17 @@ An edge vector x and a threshold p determine the graph whose edge {i, j}
 is present iff x_{ij} <= p (closed inequality; ties have probability 0
 under the continuous laws but the convention is fixed for determinism).
 
-Components come from one union-find loop.  `threshold_sweep` runs it as
-a Newman-Ziff sweep: the edges are added once in increasing x_e and the
-component-order histogram is read off at every threshold of a grid, so a
-whole p grid costs one pass.  `components` runs the same loop over the
-edges of a single `ThresholdGraph`; `components_bfs` is an independent
-BFS oracle for both.
+Components come from one vectorized union-find, `_merge`: min-label
+hooking with pointer jumping over whole edge arrays.  `threshold_sweep`
+runs it over a batch of graphs at once, each graph on its own block of
+vertex labels, adding the edges cut by cut as a p grid rises, so a
+whole grid for a whole batch costs one pass.  `components` runs it over
+the edges of a single `ThresholdGraph`; `components_bfs` is an
+independent BFS oracle for both.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -40,7 +40,11 @@ class ComponentStats:
 def build_graph(x, n, p):
     """Threshold an edge vector: keep exactly the pairs with x_e <= p."""
     p = _check_p(p)
-    keep = np.nonzero(_edge_values(x, n) <= p)[0]
+    x = np.asarray(x)
+    d = edge_count(n)
+    if x.shape != (d,):
+        raise ValueError(f"expected {d} edge values for n={n}, got shape {x.shape}")
+    keep = np.nonzero(x <= p)[0]
     return ThresholdGraph(n=n, p=p, edges=np.column_stack(edge_endpoints(n, keep)))
 
 
@@ -50,107 +54,98 @@ def _check_p(p):
     return float(p)
 
 
-def _edge_values(x, n):
-    x = np.asarray(x)
-    d = edge_count(n)
-    if x.shape != (d,):
-        raise ValueError(f"expected {d} edge values for n={n}, got shape {x.shape}")
-    return x
+def _merge(labels, us, vs):
+    """Union the edges (us[i], vs[i]) into `labels`, in place.
 
-
-def _union_sweep(n, us, vs, cuts):
-    """Union the edges (us[i], vs[i]) in list order, by size with path halving.
-
-    Returns the component-order histogram {order: count} after the first
-    c edges, for each c in the ascending list `cuts`.
+    `labels` maps every vertex to the least vertex of its component, and
+    does so again on return.  Each round hooks every root onto the least
+    root it shares an edge with (`np.minimum.at`), then every label jumps
+    to its label's label until none moves (Shiloach & Vishkin, J.
+    Algorithms 1982); edges inside one component drop out.  A label never
+    exceeds its vertex, so the hooks form no cycle, and each round leaves
+    fewer roots.
     """
-    parent = list(range(n))
-    size = [1] * n
-    hist = {1: n}
-    largest = 1
-    out = []
-    start = 0
-    for cut in cuts:
-        for u, v in zip(us[start:cut], vs[start:cut]):
-            if largest == n:  # a connected graph stays connected
+    while True:
+        ru = labels[us]
+        rv = labels[vs]
+        cross = ru != rv
+        if not cross.any():
+            return
+        us, vs, ru, rv = us[cross], vs[cross], ru[cross], rv[cross]
+        np.minimum.at(labels, ru, rv)
+        np.minimum.at(labels, rv, ru)
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
                 break
-            while parent[u] != u:
-                parent[u] = u = parent[parent[u]]
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            if u == v:
-                continue
-            su = size[u]
-            sv = size[v]
-            if su < sv:
-                u, v = v, u
-            parent[v] = u
-            merged = su + sv
-            size[u] = merged
-            c = hist[su]
-            if c == 1:
-                del hist[su]
-            else:
-                hist[su] = c - 1
-            c = hist[sv]
-            if c == 1:
-                del hist[sv]
-            else:
-                hist[sv] = c - 1
-            hist[merged] = hist.get(merged, 0) + 1
-            if merged > largest:
-                largest = merged
-        start = cut
-        out.append(dict(hist))
-    return out
+            labels[:] = jumped
 
 
-def threshold_sweep(x, n, p_values):
-    """Component-order histograms of build_graph(x, n, p) for every p.
+def threshold_sweep(n, graphs, p_values):
+    """Component orders of a batch of n-vertex threshold graphs at every p.
 
-    One Newman-Ziff sweep (Newman & Ziff, PRL 2000): the edges with
-    x_e <= max(p) are sorted by x and unioned in that order, and
-    the histogram is read off as each threshold is passed.  `p_values`
-    may be unsorted and repeat values; the result follows their order.
-    Coordinates above max(p) are never read beyond that comparison, so a
-    censored draw (+inf above the level) gives the same histograms as the
-    full vector at every p up to the level.  The endpoints of the kept
-    edges come from `edges.edge_endpoints`, not from an edge table.
+    `graphs` lists each graph's edge vector cut to its kept coordinates,
+    as a pair (positions in the canonical order, values x_e).  Graph b
+    owns the vertex labels [b n, (b + 1) n), and the edges of all graphs
+    are merged cut by cut as p rises.  `p_values` may be unsorted and
+    repeat values.  Yields (k, orders) for the grid in ascending p, k
+    indexing `p_values`: `orders[b, v]` is the order of the component of
+    graph b whose least vertex is v, and 0 where v is no component's
+    least vertex.  A coordinate above every p never enters a graph, so a
+    censored vector (its coordinates above the grid dropped) gives the
+    orders of the full one.
     """
-    x = _edge_values(x, n)
     ps = np.array([_check_p(p) for p in p_values], dtype=float)
     order = np.argsort(ps, kind="stable")
-    kept = np.flatnonzero(x <= ps[order[-1]])
-    # the edge set below each cut does not depend on how ties in x are
-    # ordered, so the faster unstable sort gives the same histograms
-    kept = kept[np.argsort(x[kept])]
-    cuts = np.searchsorted(x[kept], ps[order], side="right")
-    us, vs = edge_endpoints(n, kept)
-    hists = _union_sweep(n, us.tolist(), vs.tolist(), cuts.tolist())
-    out = [None] * len(ps)
-    for k, hist in zip(order.tolist(), hists):
-        out[k] = hist
-    return out
+    us, vs, bounds = _cut_edges(n, graphs, ps[order])
+    labels = np.arange(len(graphs) * n)
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        _merge(labels, us[lo:hi], vs[lo:hi])
+        yield int(order[k]), np.bincount(labels, minlength=labels.size).reshape(-1, n)
 
 
-def histogram_stats(n, hist):
-    """ComponentStats of an n-vertex graph from its {order: count} histogram."""
-    orders = sorted(hist, reverse=True)
-    sizes = tuple(chain.from_iterable(repeat(k, hist[k]) for k in orders))
+def _cut_edges(n, graphs, sorted_ps):
+    """The batch's edges as vertex labels, grouped by the first grid p they
+    are in: edge e enters at the first p >= x_e (x_e == p included), and
+    the edges entering at sorted_ps[k] are (us, vs)[bounds[k]:bounds[k+1]]."""
+    sizes = [len(pos) for pos, _ in graphs]
+    if sizes != [len(val) for _, val in graphs]:
+        raise ValueError("each graph needs one value per edge position")
+    cut = np.searchsorted(sorted_ps, np.concatenate([val for _, val in graphs]),
+                          side="left")
+    # the order of the edges within a cut does not change its components
+    by_cut = np.argsort(cut)
+    per_cut = np.bincount(cut, minlength=len(sorted_ps))[:len(sorted_ps)]
+    pos = np.concatenate([np.asarray(pos, dtype=np.int64) for pos, _ in graphs])[by_cut]
+    d = edge_count(n)
+    if pos.size and not 0 <= pos.min() <= pos.max() < d:
+        raise ValueError(f"edge positions must lie in [0, {d}) for n={n}")
+    us, vs = edge_endpoints(n, pos)
+    offset = np.repeat(np.arange(len(graphs)) * n, sizes)[by_cut]
+    us += offset
+    vs += offset
+    return us, vs, [0] + np.cumsum(per_cut).tolist()
+
+
+def _stats(n, orders):
+    """ComponentStats of an n-vertex graph from its component orders."""
+    sizes = tuple(sorted(orders, reverse=True))
+    hist = Counter(sizes)
     return ComponentStats(
         sizes=sizes,
         isolated_count=hist.get(1, 0),
-        max_component=orders[0],
+        max_component=sizes[0],
         z_histogram=dict(hist),
-        connected=orders[0] == n,
+        connected=sizes[0] == n,
     )
 
 
 def components(g):
     """Component decomposition of a threshold graph."""
-    hist, = _union_sweep(g.n, g.edges[:, 0].tolist(), g.edges[:, 1].tolist(),
-                         [len(g.edges)])
-    return histogram_stats(g.n, hist)
+    labels = np.arange(g.n)
+    _merge(labels, g.edges[:, 0], g.edges[:, 1])
+    orders = np.bincount(labels, minlength=g.n)
+    return _stats(g.n, orders[orders > 0].tolist())
 
 
 def small_component_mass(stats, cutoff):
@@ -182,12 +177,4 @@ def components_bfs(g):
                     seen[w] = True
                     stack.append(w)
         orders.append(size)
-    orders.sort(reverse=True)
-    hist = Counter(orders)
-    return ComponentStats(
-        sizes=tuple(orders),
-        isolated_count=hist.get(1, 0),
-        max_component=orders[0],
-        z_histogram=dict(hist),
-        connected=orders[0] == g.n,
-    )
+    return _stats(g.n, orders)

@@ -585,7 +585,7 @@ def test_cli_scan_gates_every_n(tmp_path, monkeypatch):
     assert gated == expect[:1]
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     missing = str(tmp_path / "nope.yaml")
     assert main(["scan-giant", "--config", missing,
                  "--out", str(tmp_path / "o")]) == 2
@@ -690,6 +690,24 @@ def test_cli_exit_codes(tmp_path, capsys):
             assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o"),
                          "--count", "0"]) == 2, text
             assert "config error" in capsys.readouterr().err
+
+    # count * d above cli.MAX_SAMPLE_NUMBERS is refused before the manifest
+    # and the first draw (the default count at n = 10000 is about 60 GB of
+    # text); the message names the largest count allowed at that n
+    big = _write_cfg(tmp_path, "model: {family: cube, n: 10000}\n")
+    out = tmp_path / "big"
+    capsys.readouterr()
+    assert main(["sample", "--config", big, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "--count <= 2 at this n" in err
+    assert not out.exists()
+    monkeypatch.setattr(cli, "MAX_SAMPLE_NUMBERS", 30)  # three draws at d = 10
+    small = _write_cfg(tmp_path, "model: {family: cube, n: 5}\n")
+    for count, code in (("3", 0), ("4", 2)):
+        out = tmp_path / f"count{count}"
+        assert main(["sample", "--config", small, "--out", str(out),
+                     "--count", count]) == code
+        assert (out / "samples.dat").exists() == (code == 0)
 
     # a worker count below 1 is an argparse error, exit status 2
     for workers in ("0", "-2"):

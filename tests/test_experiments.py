@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from gobgraph import (Cap, GobSpec, Linear, SamplerConfig, ScanConfig, ScanRow,
                       ScanResult, er_connectivity_oracle, make_sampler,
                       resolve_grid, run_scan, substream, threshold_locator)
-from gobgraph import experiments
+from gobgraph import experiments, samplers
 from gobgraph.config import ConfigError
 
 
@@ -205,6 +206,62 @@ def test_scan_records_censor_level_and_edges_kept():
                  for r in range(250))
     assert result.meta["edges_kept"][7] == replay
     assert all(isinstance(v, int) and v > 0 for v in result.meta["edges_kept"].values())
+
+
+def _simplex_scan():
+    # an explicit grid: the pilot's float sum depends on its block size
+    specs = [GobSpec(n, Linear(1.0)) for n in (5, 12)]
+    cfg = ScanConfig(mode="connectivity", replicates=250,
+                     values=(0.01, 0.04, 0.02, 0.02))
+    return run_scan(specs, SamplerConfig(method="exact_simplex"), cfg, 21)
+
+
+def test_scan_batches_give_the_same_rows(monkeypatch):
+    # a chunk's cut draws go to the sweep in batches of at most
+    # _BLOCK_BYTES // 16 kept coordinates; where the batches end must not
+    # change a row or the kept-edge count
+    whole = _simplex_scan()
+    batches = []
+    sweep = experiments.threshold_sweep
+
+    def counted(n, graphs, p_values):
+        batches.append((n, len(graphs)))
+        return sweep(n, graphs, p_values)
+
+    monkeypatch.setattr(experiments, "threshold_sweep", counted)
+    # 0: every replicate is swept alone; then a flush about every 40
+    # replicates at n = 12, so inside each chunk of 100
+    per_replicate = whole.meta["edges_kept"][12] // 250
+    for block_bytes in (0, 16 * 40 * per_replicate):
+        batches.clear()
+        monkeypatch.setattr(samplers, "_BLOCK_BYTES", block_bytes)
+        split = _simplex_scan()
+        assert split.rows == whole.rows
+        assert split.meta == whole.meta
+        sizes = [size for n, size in batches if n == 12]
+        assert sum(sizes) == 250 and len(sizes) > 3 and max(sizes) < 50
+        if block_bytes == 0:
+            assert len(batches) == 500
+
+
+def test_scan_chunk_memory_bounded():
+    # one chunk of 100 replicates at n = 1000 on the connectivity grid keeps
+    # about 7e5 edges, more than one batch holds; measured peak 40.2 MiB
+    # (batches of 5.2e5 edges), against 56.3 MiB for the whole chunk at once
+    n = 1000
+    d = n * (n - 1) // 2
+    sigma = math.sqrt(2.0 / ((d + 1) * (d + 2)))
+    ps = [g * sigma * math.log(n) / n for g in (0.4, 0.55, 0.7, 0.85, 1.0, 1.2, 1.5)]
+    cfg = SamplerConfig(method="exact_simplex", censor_above=max(ps))
+    payload = (GobSpec(n, Linear(1.0)), cfg, ps, 5, 0, 0, 100, 2.0)
+    tracemalloc.start()
+    try:
+        out = experiments._scan_chunk(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out["edges_kept"] > samplers._BLOCK_BYTES // 16
+    assert peak < 6 * samplers._BLOCK_BYTES
 
 
 def test_scan_meta_records_mode():

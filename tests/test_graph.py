@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gobgraph import (build_graph, components, components_bfs, edge_count,
-                      edge_endpoints, edge_index, histogram_stats,
-                      small_component_mass, threshold_sweep)
-from gobgraph.experiments import _cell_counts
+                      edge_endpoints, edge_index, small_component_mass,
+                      threshold_sweep)
+from gobgraph.experiments import _cell_sums
 
 
 # ---------------------------------------------------------------------------
@@ -163,27 +163,52 @@ def _counts_from_stats(stats, n, big_thresh, mass_cutoff):
             stats.max_component, small_component_mass(stats, mass_cutoff))
 
 
+def _draw_batch(data, n, values):
+    """1-4 edge vectors over `values`, one of them often left with no kept edge."""
+    d = edge_count(n)
+    xs = [np.array(data.draw(st.lists(st.sampled_from(values), min_size=d,
+                                      max_size=d)))
+          for _ in range(data.draw(st.integers(1, 4)))]
+    if data.draw(st.booleans()):
+        xs[data.draw(st.integers(0, len(xs) - 1))][:] = np.inf
+    return xs
+
+
+def _cut(x, level):
+    kept = np.flatnonzero(x <= level)
+    return kept, x[kept]
+
+
+def _sweep(n, xs, ps, level):
+    """{index in ps: orders} of the batch's graphs cut at `level`."""
+    out = dict(threshold_sweep(n, [_cut(x, level) for x in xs], ps))
+    assert sorted(out) == list(range(len(ps)))
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n=st.integers(2, 12),
        grid=st.lists(st.sampled_from(_LEVELS + (0.3, 0.6)), min_size=1,
                      max_size=6),
        beta=st.sampled_from([1.1, 2.0]))
 def test_sweep_matches_bfs_per_threshold(data, n, grid, beta):
-    x = np.array(data.draw(st.lists(st.sampled_from(_LEVELS),
-                                    min_size=edge_count(n),
-                                    max_size=edge_count(n))))
+    # +inf stands for a coordinate a censored draw left out
+    xs = _draw_batch(data, n, _LEVELS + (np.inf,))
     # unsorted, with a repeat, one p below every x_e and one above every x_e
     ps = grid + [0.05, grid[0], 0.95]
     big_thresh = beta * math.log(n)
     mass_cutoff = max(1, math.floor(big_thresh))
-    hists = threshold_sweep(x, n, ps)
-    assert len(hists) == len(ps)
-    for p, hist in zip(ps, hists):
-        truth = components_bfs(build_graph(x, n, p))
-        assert hist == truth.z_histogram
-        assert histogram_stats(n, hist) == truth
-        assert (_cell_counts(hist, n, big_thresh, mass_cutoff)
-                == _counts_from_stats(truth, n, big_thresh, mass_cutoff))
+    swept = _sweep(n, xs, ps, max(ps))
+    for k, p in enumerate(ps):
+        orders = swept[k]
+        assert orders.shape == (len(xs), n)
+        truths = [components_bfs(build_graph(x, n, p)) for x in xs]
+        for row, truth in zip(orders, truths):
+            assert tuple(sorted(row[row > 0].tolist(), reverse=True)) == truth.sizes
+        expected = np.sum([_counts_from_stats(t, n, big_thresh, mass_cutoff)
+                           for t in truths], axis=0)
+        assert (np.array(_cell_sums(orders, n, big_thresh, mass_cutoff))
+                == expected).all()
 
 
 @settings(max_examples=200, deadline=None)
@@ -192,24 +217,29 @@ def test_sweep_matches_bfs_per_threshold(data, n, grid, beta):
                      max_size=6))
 def test_sweep_of_censored_vector_matches_full(data, n, level, grid):
     # a censored draw is the full vector with +inf above the level: every
-    # p <= level sees the same graph
-    x = np.array(data.draw(st.lists(st.sampled_from(_LEVELS + (0.9,)),
-                                    min_size=edge_count(n),
-                                    max_size=edge_count(n))))
+    # p <= level sees the same graph, whether the sweep is handed the
+    # coordinates up to the level or every coordinate
+    xs = _draw_batch(data, n, _LEVELS + (0.9,))
     ps = [p for p in grid if p <= level] or [level]
-    censored = np.where(x <= level, x, np.inf)
-    assert threshold_sweep(censored, n, ps) == threshold_sweep(x, n, ps)
+    censored = [np.where(x <= level, x, np.inf) for x in xs]
+    full = _sweep(n, xs, ps, np.inf)
+    for cut_at in (level, np.inf):
+        swept = _sweep(n, censored, ps, cut_at)
+        assert all(np.array_equal(swept[k], full[k]) for k in full)
 
 
 def test_sweep_validation():
+    kept = (np.arange(6), np.zeros(6))
     with pytest.raises(ValueError):
-        threshold_sweep(np.zeros(6), 4, [0.5, 1.0])
+        list(threshold_sweep(4, [kept], [0.5, 1.0]))
+    with pytest.raises(ValueError):  # a position beyond the 6 edges at n = 4
+        list(threshold_sweep(4, [(np.arange(7), np.zeros(7))], [0.5]))
     with pytest.raises(ValueError):
-        threshold_sweep(np.zeros(5), 4, [0.5])
+        list(threshold_sweep(4, [kept, (np.arange(3), np.zeros(2))], [0.5]))
 
 
 def test_pigeonhole_check_raises():
     # two components of order > n/2 cannot exist; the check is not an assert,
     # so it also holds under python -O
     with pytest.raises(RuntimeError, match="pigeonhole"):
-        _cell_counts({3: 2}, 4, 2.0, 2)
+        _cell_sums(np.array([[4, 0, 0, 0], [3, 0, 3, 0]]), 4, 2.0, 2)
