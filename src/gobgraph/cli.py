@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import experiments
-from .config import ConfigError, build_spec, config_hash, parse_config
+from .config import ConfigError, config_hash, parse_config
 from .estimators import estimate_moments, nc_test
 from .experiments import er_connectivity_oracle, threshold_locator
 from .report import emit_csv, emit_plotdata
@@ -38,7 +38,8 @@ _TAG_VALIDATE = 104
 _TAG_MARGINAL = 105
 
 _NC_PILOT_DRAWS = 4000  # nc-test sets its thresholds from this many draws
-# `sample` writes at most this many numbers (count * d), about 1.2 GB of text
+# `sample` writes at most this many numbers (count * d), about 1.2 GB of
+# text, and `validate-sampler` draws at most this many from each sampler
 MAX_SAMPLE_NUMBERS = 10**8
 
 
@@ -89,9 +90,19 @@ def _write_manifest(out_dir, command, cfg, seed, run=None):
 
 
 def _single_spec(cfg):
-    if len(cfg.n_list) != 1:
+    if len(cfg.specs) != 1:
         raise ConfigError("this command needs a single n (set model.n)")
-    return build_spec(cfg.model, cfg.n_list[0])
+    return cfg.specs[0]
+
+
+def _check_draw_count(option, count, spec):
+    """Refuse `count` draws at `spec` that hold more than MAX_SAMPLE_NUMBERS
+    numbers, naming the largest count allowed."""
+    if count * spec.dim > MAX_SAMPLE_NUMBERS:
+        raise ConfigError(
+            f"{option} {count} at n={spec.n} asks for {count * spec.dim} numbers, "
+            f"more than {MAX_SAMPLE_NUMBERS}; {option} <= "
+            f"{MAX_SAMPLE_NUMBERS // spec.dim} at this n")
 
 
 def _maybe_validate(cfg, spec, seed, force, index):
@@ -122,11 +133,7 @@ def _cmd_sample(args):
     time, so memory stays bounded however many draws are asked for."""
     cfg, seed = _load(args)
     spec = _single_spec(cfg)
-    if args.count * spec.dim > MAX_SAMPLE_NUMBERS:
-        raise ConfigError(
-            f"--count {args.count} at n={spec.n} asks for {args.count * spec.dim} "
-            f"numbers; sample writes at most {MAX_SAMPLE_NUMBERS}, so --count "
-            f"<= {MAX_SAMPLE_NUMBERS // spec.dim} at this n")
+    _check_draw_count("--count", args.count, spec)
     sampler = make_sampler(spec, cfg.sampler)
     stream = substream(seed, (_TAG_SAMPLE,))
     _write_manifest(args.out, "sample", cfg, seed)
@@ -148,16 +155,15 @@ def _run_scan(args, mode):
     if cfg.scan.mode != mode:
         raise ConfigError(f"scan.mode is {cfg.scan.mode!r}, but scan-{mode} "
                           f"runs a {mode} scan")
-    specs = [build_spec(cfg.model, n) for n in cfg.n_list]
     verdicts = []
-    for k, spec in enumerate(specs):
+    for k, spec in enumerate(cfg.specs):
         report = _maybe_validate(cfg, spec, seed, args.force, k)
         if report is not None:
             verdicts.append({"n": spec.n, "ok": report.ok, "reason": report.reason,
                              "max_ks": report.max_ks, "critical": report.critical})
     # looked up on the module at each call, so a wrapper installed there
     # runs (perfbench/child.py rebinds experiments.run_scan to trace scans)
-    result = experiments.run_scan(specs, cfg.sampler, cfg.scan, seed,
+    result = experiments.run_scan(cfg.specs, cfg.sampler, cfg.scan, seed,
                                   workers=args.workers)
     metric = "p_connected" if mode == "connectivity" else "p_giant"
     crossings = threshold_locator(result, metric=metric)
@@ -270,6 +276,8 @@ def _cmd_oracle_er(args):
 def _cmd_validate(args):
     cfg, seed = _load(args)
     spec = _single_spec(cfg)
+    # the battery holds an exact and a hit-and-run draw of (draws, d) at once
+    _check_draw_count("--draws", args.draws, spec)
     pair = (substream(seed, (_TAG_VALIDATE, 0)), substream(seed, (_TAG_VALIDATE, 1)))
     report = validate_sampler(spec, cfg.sampler, pair, draws=args.draws)
     if report.ok is None:

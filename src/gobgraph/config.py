@@ -5,8 +5,10 @@ Config files are YAML with top-level sections `model`, `sampler` and
 once, by `_read`, which checks its YAML type: integers are YAML integers,
 flags are `true`/`false` and lists are lists.  Unknown keys anywhere are
 hard errors, and invariant violations (q < 1, bad scales, ...) are
-reported before any computation starts.  The canonical form that
-`config_hash` digests is put together from the values as they are read.
+reported before any computation starts.  A parsed config holds the
+`GobSpec` at each vertex count, built and checked against the sampler
+method while parsing, and the canonical form that `config_hash` digests,
+put together from the values as they are read.
 """
 
 import hashlib
@@ -131,12 +133,11 @@ class ModelConfig:
 
 @dataclass
 class FullConfig:
-    model: ModelConfig
     sampler: SamplerConfig
     scan: ScanConfig | None
     nc_test: dict    # the nc_test values given; `nc-test` defaults the rest
     moments: dict
-    n_list: list     # the vertex counts: scan.n_list, else [model.n]
+    specs: list      # a GobSpec per vertex count: scan.n_list, else [model.n]
     canonical: dict  # the form config_hash digests
 
 
@@ -214,11 +215,8 @@ def _positive_component(section, make, value):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-def build_spec(model, n=None):
+def build_spec(model, n):
     """Materialize the GobSpec for a model at vertex count n."""
-    n = n if n is not None else model.n
-    if n is None:
-        raise ConfigError("vertex count n is not set (model.n or scan.n_list)")
     if n < 2:
         raise ConfigError(f"need n >= 2, got {n}")
     d = edge_count(n)
@@ -240,22 +238,25 @@ _DEFAULT_METHODS = {
 
 
 def _parse_sampler(data, family):
-    """The sampler section: its SamplerConfig and canonical form, whose
-    keys are the config's arguments."""
+    """The sampler section: its SamplerConfig and canonical form."""
     data = data or {}
     _check_keys("sampler", data, _SAMPLER_KEYS)
-    # SamplerConfig checks method, burn_in, thinning and start
+    # SamplerConfig checks method, burn_in and thinning
     canon = {
         "method": data.get("method", _DEFAULT_METHODS[family]),
         "seed": _read("sampler", data, "seed", "an integer", 0),
         "burn_in": data.get("burn_in"),
         "thinning": data.get("thinning"),
-        "start": data.get("start", SamplerConfig.start),
     }
     try:
-        return SamplerConfig(**canon), canon
+        sampler = SamplerConfig(**canon)
     except ValueError as exc:
         raise ConfigError(f"sampler: {exc}") from exc
+    # hit-and-run starts at the analytic centre, its one start; the key
+    # stays, so that configs naming it parse and keep their hash
+    canon["start"] = _read("sampler", data, "start", {"analytic_center"},
+                           "analytic_center")
+    return sampler, canon
 
 
 def _check_vertex_count(key, n):
@@ -357,10 +358,10 @@ def parse_config(text, scan_mode="connectivity"):
     moments = _parse_values("moments", raw.get("moments"), _MOMENT_KINDS)
     n_list = canon_scan["n_list"] if scan else _vertex_counts(None, model.n)
 
-    # build the spec at every n now, so that invariant errors and a method
+    # the spec at every n, built here so that invariant errors and a method
     # that cannot sample the family surface before any computation
-    for n in n_list:
-        spec = build_spec(model, n)
+    specs = [build_spec(model, n) for n in n_list]
+    for spec in specs:
         try:
             check_method(spec, sampler.method)
         except ValueError as exc:
@@ -370,7 +371,7 @@ def parse_config(text, scan_mode="connectivity"):
     for key, section in (("scan", canon_scan), ("nc_test", nc), ("moments", moments)):
         if section:
             canonical[key] = section
-    return FullConfig(model, sampler, scan, nc, moments, n_list, canonical)
+    return FullConfig(sampler, scan, nc, moments, specs, canonical)
 
 
 def config_hash(cfg, master_seed):

@@ -116,10 +116,11 @@ def resolve_grid(cfg, n, sigma_hat):
 
 
 def _pilot_sigma(sampler, stream, draws, dim):
-    """Root mean second moment over all edges, estimated streaming."""
-    total = 0.0
-    for X in draw_blocks(sampler, stream, draws, dim):
-        total += float(np.sum(X * X))
+    """Root mean second moment over all edges, estimated streaming.  The
+    rows' sums of squares are added exactly (`math.fsum`), so the estimate
+    does not depend on how `draw_blocks` splits the rows into blocks."""
+    total = math.fsum(row for X in draw_blocks(sampler, stream, draws, dim)
+                      for row in (X * X).sum(axis=1).tolist())
     return math.sqrt(total / (draws * dim))
 
 

@@ -263,7 +263,6 @@ class GobSpec:
         self._pow_idx = pack(powr) if powr else None
         if powr:
             self._pow_inv = self._per_edge(powr, lambda c: 1.0 / c.a)
-            self._pow_q = self._per_edge(powr, lambda c: c.q)
             # d/dy (y/a)^q = (q/a) (y/a)^(q-1)
             self._pow_q1 = self._per_edge(powr, lambda c: c.q - 1.0)
             self._pow_dinv = self._per_edge(powr, lambda c: c.q * (1.0 / c.a))

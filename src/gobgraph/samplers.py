@@ -21,8 +21,9 @@ The cube and simplex samplers draw row after row from the stream, so
 their blocks concatenate to the same values as one call; `exact_lq` draws
 all of a call's gammas before its exponentials, so beyond one block its
 values differ from one call's (the law is the same).  Hit-and-run starts
-a new chain, with its own burn-in, on every call, so a draw larger than
-one block runs one chain per block.
+a new chain, at the analytic centre (`start_point`) and with its own
+burn-in, on every call, so a draw larger than one block runs one chain
+per block.
 A zero-count draw returns an empty (0, d) array and consumes nothing
 from the stream, for every method.
 
@@ -68,17 +69,13 @@ class SamplerConfig:
     seed: int = 0
     burn_in: int | None = None
     thinning: int | None = None
-    start: str = "analytic_center"
     censor_above: float | None = None
 
     _METHODS = ("exact_cube", "exact_simplex", "exact_lq", "hit_and_run")
-    _STARTS = ("origin_nudge", "analytic_center")
 
     def __post_init__(self):
         if self.method not in self._METHODS:
             raise ValueError(f"method must be one of {self._METHODS}, got {self.method!r}")
-        if self.start not in self._STARTS:
-            raise ValueError(f"start must be one of {self._STARTS}, got {self.start!r}")
         for name in ("burn_in", "thinning"):
             value = getattr(self, name)
             if value is not None and (isinstance(value, bool)
@@ -217,23 +214,17 @@ def draw_blocks(sampler, stream, count, dim):
         yield np.asarray(sampler(stream, min(rows, count - start)), dtype=float)
 
 
-def start_point(spec, mode):
-    """A guaranteed strictly interior point of the ball.
-
-    origin_nudge: x_e = a_e/(2d); convexity and f(0)=0 give
-    sum f_e(a_e/(2d)) <= d * (1/(2d)) = 1/2.
-    analytic_center: x_e = 0.5 * sup{t : f_e(t) <= 1/(2d)}, which sits
-    nearer the middle of boxes and mixed bodies, so chains started there
-    need less burn-in.
+def start_point(spec):
+    """The analytic centre, where every hit-and-run chain starts:
+    x_e = 0.5 * sup{t : f_e(t) <= 1/(2d)}.  Each f_e is convex with
+    f_e(0) = 0, so f_e(x_e) <= 1/(4d) and G(x) <= 1/4: the point is
+    strictly interior.  It sits near the middle of boxes and mixed
+    bodies, so chains started there need little burn-in.
     """
     d = spec.dim
-    if mode == "origin_nudge":
-        return np.broadcast_to(spec.a, (d,)) / (2.0 * d)
-    if mode == "analytic_center":
-        level = 1.0 / (2.0 * d)
-        extents = np.array([c.inverse_at(level) for c in spec.components])
-        return 0.5 * np.broadcast_to(extents, (d,))
-    raise ValueError(f"unknown start mode {mode!r}")
+    level = 1.0 / (2.0 * d)
+    extents = np.array([c.inverse_at(level) for c in spec.components])
+    return 0.5 * np.broadcast_to(extents, (d,))
 
 
 def _draw_on_chord(spec, x, u, t_lo, t_hi, stream, line=None):
@@ -276,7 +267,7 @@ def hit_and_run(spec, cfg, stream, count):
         return np.empty((0, d))
     burn, thin = cfg.resolved_schedule(d)
     uniform_chord = isinstance(spec.radial_density, Indicator)
-    x = start_point(spec, cfg.start)
+    x = start_point(spec)
     linear_only = spec._pow_idx is None and not spec._pwl
     if uniform_chord and linear_only:
         return _hit_and_run_linear(spec, x, stream, count, burn, thin)
@@ -427,9 +418,7 @@ def validate_sampler(spec, cfg, stream_pair, draws=8000, alpha=0.01):
     from scipy import stats
     exact = make_sampler(spec, SamplerConfig(method=twin))
     hr = make_sampler(spec, SamplerConfig(
-        method="hit_and_run", burn_in=cfg.burn_in, thinning=cfg.thinning,
-        start=cfg.start,
-    ))
+        method="hit_and_run", burn_in=cfg.burn_in, thinning=cfg.thinning))
     s_exact, s_hr = stream_pair
     A = exact(s_exact, draws)
     B = hr(s_hr, draws)

@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gobgraph
-from gobgraph import cli, samplers
+from gobgraph import cli, config, samplers
 from gobgraph.cli import main
-from gobgraph.config import (MAX_VERTICES, ConfigError, build_spec, config_hash,
-                             parse_config)
+from gobgraph.config import MAX_VERTICES, ConfigError, config_hash, parse_config
 from gobgraph.experiments import er_connectivity_oracle
+from gobgraph.orlicz import Cap, GobSpec
 from gobgraph.report import CSV_HEADER, emit_csv, emit_plotdata
 from gobgraph.experiments import ScanResult, ScanRow
 from gobgraph.rng import substream
@@ -40,10 +40,9 @@ def _row(n=5, p=0.5):
 
 def test_parse_minimal_cube():
     cfg = parse_config("model:\n  family: cube\n  n: 50\n")
-    assert cfg.model.family == "cube"
-    assert cfg.n_list == [50]
-    spec = build_spec(cfg.model)
-    assert spec.dim == 1225
+    [spec] = cfg.specs
+    assert (spec.n, spec.dim) == (50, 1225)
+    assert all(isinstance(c, Cap) for c in spec.components)
     assert cfg.sampler.method == "exact_cube"  # family default
 
 
@@ -89,7 +88,7 @@ def test_parse_gob_component():
           radial_density: {kind: exponential, rate: 0.5}
     """)
     cfg = parse_config(text)
-    spec = build_spec(cfg.model)
+    [spec] = cfg.specs
     assert spec.dim == 6
     assert cfg.sampler.method == "hit_and_run"
     with pytest.raises(ConfigError, match="kind"):
@@ -100,7 +99,7 @@ def test_parse_gob_component():
 
 def test_simplex_coefficient_convention():
     cfg = parse_config("model:\n  family: simplex\n  n: 3\n  coeff: 2.0\n")
-    spec = build_spec(cfg.model)
+    [spec] = cfg.specs
     # sum 2 x_e <= 1  <=>  extent 1/2 per edge
     assert np.allclose(spec.a, 0.5)
 
@@ -108,6 +107,53 @@ def test_simplex_coefficient_convention():
 def test_missing_n_is_an_error():
     with pytest.raises(ConfigError, match="n"):
         parse_config("model:\n  family: cube\n")
+
+
+def test_parse_builds_a_spec_per_vertex_count():
+    cfg = parse_config("model: {family: simplex, coeff: 2}\n"
+                       "scan: {n_list: [6, 4, 5], grid: {gammas: [1.0]}}\n")
+    assert [(spec.n, spec.dim) for spec in cfg.specs] == [(6, 15), (4, 6), (5, 10)]
+    assert all(np.all(spec.a == 0.5) for spec in cfg.specs)
+
+
+def test_sampler_start_is_the_analytic_center():
+    # the one start stays a key, so that configs naming it parse
+    text = "model: {family: gob, n: 3, component: {kind: power, q: 2}}\n"
+    named = parse_config(text + "sampler: {start: analytic_center}\n")
+    assert named.canonical == parse_config(text).canonical
+    assert named.canonical["sampler"]["start"] == "analytic_center"
+    for start in ("origin_nudge", "somewhere", 1):
+        with pytest.raises(ConfigError, match="sampler.start"):
+            parse_config(text + f"sampler: {{start: {start}}}\n")
+
+
+def test_scan_builds_each_spec_once(tmp_path, monkeypatch):
+    # parse_config builds the spec at each n (through config.build_spec,
+    # which the benchmark's tracer wraps), and the scan runs on those
+    calls = []
+    build, init = config.build_spec, GobSpec.__init__
+
+    def counted(model, n):
+        calls.append(n)
+        return build(model, n)
+
+    def counted_init(self, n, *args, **kwargs):
+        calls.append(("GobSpec", n))
+        init(self, n, *args, **kwargs)
+
+    monkeypatch.setattr(config, "build_spec", counted)
+    monkeypatch.setattr(GobSpec, "__init__", counted_init)
+    cfg = _write_cfg(tmp_path, """\
+        model: {family: simplex}
+        scan:
+          n_list: [5, 6]
+          replicates: 30
+          pilot_draws: 10
+          grid: {kind: gamma, gammas: [1.0]}
+    """)
+    assert main(["scan-connectivity", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 0
+    assert calls == [5, ("GobSpec", 5), 6, ("GobSpec", 6)]
 
 
 _DOCUMENTED = [
@@ -138,8 +184,8 @@ def test_documented_configs_roundtrip(name, mode, pinned):
     ("model:\n  family: gob\n  n: 3\n  components:\n    - {kind: linear}\n"
      "    - {kind: power, q: 3}\n    - {kind: pwl, breakpoints: [[0, 0], [1, 2]]}\n"
      "  radial_density: {kind: power_decay}\n"
-     "sampler: {burn_in: 100, start: origin_nudge}\n", "connectivity",
-     "69ae58f51f7ac740"),
+     "sampler: {burn_in: 100}\n", "connectivity",
+     "5e3b7908cc3077d7"),
     ("model: {family: simplex, coeff: 2}\n"
      "scan: {n_list: [5, 6], beta: 3, grid: {kind: explicit, values: [0.1, 0.9]}}\n"
      "nc_test: {configurations: 2, quantile_range: [0, 1]}\nmoments: {reps: 5000}\n",
@@ -218,8 +264,6 @@ def test_mutated_configs_fail_only_as_config_errors(name, mode, data):
             _VERTEX_COUNT if vertex_count else _ANY_VALUE)
     try:
         cfg = parse_config(yaml.safe_dump(raw), scan_mode=mode)
-        for n in cfg.n_list:
-            build_spec(cfg.model, n)
     except ConfigError:
         return
     again = parse_config(yaml.safe_dump(cfg.canonical), scan_mode=mode)
@@ -390,7 +434,7 @@ def test_cli_sample_same_bytes_across_blocks(tmp_path, monkeypatch, family):
     text = (whole / "samples.dat").read_text()
     assert (blocked / "samples.dat").read_text() == text
     parsed = parse_config(Path(cfg).read_text())
-    X = make_sampler(build_spec(parsed.model, 4), parsed.sampler)(
+    X = make_sampler(parsed.specs[0], parsed.sampler)(
         substream(3, (cli._TAG_SAMPLE,)), 20)
     rows = [" ".join(format(v, ".10g") for v in row) for row in X]
     assert text.splitlines()[2:] == rows
@@ -430,7 +474,7 @@ def test_cli_nc_test_streamed_pilot_matches_whole(tmp_path, monkeypatch, family)
           configurations: 4
     """)
     parsed = parse_config(Path(cfg).read_text())
-    spec = build_spec(parsed.model)
+    [spec] = parsed.specs
     sampler = make_sampler(spec, parsed.sampler)
     pilot = sampler(substream(5, (cli._TAG_NC, 0)), cli._NC_PILOT_DRAWS)
     expected = []
@@ -708,6 +752,17 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert main(["sample", "--config", small, "--out", str(out),
                      "--count", count]) == code
         assert (out / "samples.dat").exists() == (code == 0)
+    # validate-sampler holds two (draws, d) arrays: its bound comes before
+    # any draw, and names the largest --draws allowed at that n
+    drawn = []
+    monkeypatch.setattr(cli, "validate_sampler", lambda spec, cfg, pair, draws: (
+        drawn.append(draws) or ValidationReport(True, "stub", 0.0, 1.0)))
+    for draws, code in (("3", 0), ("4", 2)):
+        capsys.readouterr()
+        assert main(["validate-sampler", "--config", small, "--draws", draws]) == code
+    assert drawn == [3]
+    err = capsys.readouterr().err
+    assert "config error" in err and "--draws <= 3 at this n" in err
 
     # a worker count below 1 is an argparse error, exit status 2
     for workers in ("0", "-2"):

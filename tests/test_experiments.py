@@ -208,19 +208,17 @@ def test_scan_records_censor_level_and_edges_kept():
     assert all(isinstance(v, int) and v > 0 for v in result.meta["edges_kept"].values())
 
 
-def _simplex_scan():
-    # an explicit grid: the pilot's float sum depends on its block size
+def _simplex_scan(**grid):
     specs = [GobSpec(n, Linear(1.0)) for n in (5, 12)]
-    cfg = ScanConfig(mode="connectivity", replicates=250,
-                     values=(0.01, 0.04, 0.02, 0.02))
+    cfg = ScanConfig(mode="connectivity", replicates=250, **grid)
     return run_scan(specs, SamplerConfig(method="exact_simplex"), cfg, 21)
 
 
 def test_scan_batches_give_the_same_rows(monkeypatch):
     # a chunk's cut draws go to the sweep in batches of at most
-    # _BLOCK_BYTES // 16 kept coordinates; where the batches end must not
-    # change a row or the kept-edge count
-    whole = _simplex_scan()
+    # _BLOCK_BYTES // 16 kept coordinates, and the pilot's draws come in
+    # blocks of _BLOCK_BYTES; where the batches and blocks end must not
+    # change a row, sigma-hat or the kept-edge count
     batches = []
     sweep = experiments.threshold_sweep
 
@@ -228,20 +226,24 @@ def test_scan_batches_give_the_same_rows(monkeypatch):
         batches.append((n, len(graphs)))
         return sweep(n, graphs, p_values)
 
-    monkeypatch.setattr(experiments, "threshold_sweep", counted)
-    # 0: every replicate is swept alone; then a flush about every 40
-    # replicates at n = 12, so inside each chunk of 100
-    per_replicate = whole.meta["edges_kept"][12] // 250
-    for block_bytes in (0, 16 * 40 * per_replicate):
-        batches.clear()
-        monkeypatch.setattr(samplers, "_BLOCK_BYTES", block_bytes)
-        split = _simplex_scan()
-        assert split.rows == whole.rows
-        assert split.meta == whole.meta
-        sizes = [size for n, size in batches if n == 12]
-        assert sum(sizes) == 250 and len(sizes) > 3 and max(sizes) < 50
-        if block_bytes == 0:
-            assert len(batches) == 500
+    for grid in ({"values": (0.01, 0.04, 0.02, 0.02)},
+                 {"gammas": (0.5, 1.5, 1.0, 1.0)}):
+        monkeypatch.undo()
+        whole = _simplex_scan(**grid)
+        monkeypatch.setattr(experiments, "threshold_sweep", counted)
+        # 0: every replicate is swept alone; then a flush about every 40
+        # replicates at n = 12, so inside each chunk of 100
+        per_replicate = whole.meta["edges_kept"][12] // 250
+        for block_bytes in (0, 16 * 40 * per_replicate):
+            batches.clear()
+            monkeypatch.setattr(samplers, "_BLOCK_BYTES", block_bytes)
+            split = _simplex_scan(**grid)
+            assert split.rows == whole.rows
+            assert split.meta == whole.meta
+            sizes = [size for n, size in batches if n == 12]
+            assert sum(sizes) == 250 and len(sizes) > 3 and max(sizes) < 50
+            if block_bytes == 0:
+                assert len(batches) == 500
 
 
 def test_scan_chunk_memory_bounded():

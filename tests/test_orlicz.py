@@ -541,8 +541,8 @@ def test_quadratic_flag(components, quadratic):
 # ---------------------------------------------------------------------------
 # ball-level queries
 
-_SPEC_ARRAYS = ("a", "_lin_idx", "_lin_inv", "_pow_idx", "_pow_inv", "_pow_q",
-                "_pow_q1", "_pow_dinv", "_cap_idx", "_cap_a")
+_SPEC_ARRAYS = ("a", "_lin_idx", "_lin_inv", "_pow_idx", "_pow_inv", "_pow_q1",
+                "_pow_dinv", "_cap_idx", "_cap_a")
 
 
 def _assert_same_arrays(shared, listed):

@@ -187,11 +187,9 @@ def test_stream_key_validation():
 # start points
 
 def test_start_point_examples():
-    spec = GobSpec(3, Linear(1.0))
-    assert start_point(spec, "origin_nudge") == pytest.approx(np.full(3, 1 / 6))
-    spec2 = GobSpec(3, Power(a=2.0, q=2.0))
-    # analytic center: 0.5 * 2 * sqrt(1/6)
-    assert start_point(spec2, "analytic_center") == pytest.approx(
+    # 0.5 * 1/6 for a simplex edge, 0.5 * 2 * sqrt(1/6) for a power q = 2
+    assert start_point(GobSpec(3, Linear(1.0))) == pytest.approx(np.full(3, 1 / 12))
+    assert start_point(GobSpec(3, Power(a=2.0, q=2.0))) == pytest.approx(
         np.full(3, np.sqrt(1 / 6)))
 
 
@@ -200,10 +198,9 @@ def test_start_point_examples():
     GobSpec(3, Linear(0.5)),
     GobSpec(4, Power(a=1.0, q=3.0)),
     GobSpec(3, [Linear(1.0), Cap(0.3), Power(a=2.0, q=2.0)]),
-])
-@pytest.mark.parametrize("mode", ["origin_nudge", "analytic_center"])
-def test_start_point_strictly_interior(spec, mode):
-    assert spec.strictly_inside(start_point(spec, mode))
+], ids=[f"analytic_center-spec{i}" for i in range(4)])
+def test_start_point_strictly_interior(spec):
+    assert spec.strictly_inside(start_point(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +301,14 @@ _density = st.one_of(
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), n=st.sampled_from([3, 4, 5]), density=_density,
-       start=st.sampled_from(["origin_nudge", "analytic_center"]),
        seed=st.integers(0, 2**32 - 1))
-def test_hit_and_run_chain_stays_in_ball(data, n, density, start, seed):
+def test_hit_and_run_chain_stays_in_ball(data, n, density, seed):
     # a few hundred steps over random mixed specs: no step raises, and every
     # retained state lies in the orthant with G <= 1 (caps included)
     d = n * (n - 1) // 2
     comps = data.draw(st.lists(components, min_size=d, max_size=d))
     spec = GobSpec(n, comps, radial_density=density)
-    cfg = SamplerConfig(method="hit_and_run", burn_in=0, thinning=1, start=start)
+    cfg = SamplerConfig(method="hit_and_run", burn_in=0, thinning=1)
     X = hit_and_run(spec, cfg, substream(seed, 0), 300)
     assert X.shape == (300, d)
     assert np.all(X >= 0)
@@ -356,7 +352,7 @@ def test_hit_and_run_evaluates_g_once_per_step_at_its_state(monkeypatch, spec):
     cfg = SamplerConfig(method="hit_and_run", burn_in=0, thinning=1)
     steps = 40
     X = hit_and_run(spec, cfg, _StepMarkingStream(_stream(19), events), steps)
-    states = [start_point(spec, cfg.start)] + list(X[:-1])
+    states = [start_point(spec)] + list(X[:-1])
     marks = [i for i, (kind, _) in enumerate(events) if kind == "step"]
     assert len(marks) == steps
     for state, begin, end in zip(states, marks, marks[1:] + [len(events)]):
@@ -377,8 +373,6 @@ def test_schedule_defaults_and_validation():
         SamplerConfig(burn_in=-1)
     with pytest.raises(ValueError):
         SamplerConfig(thinning=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(start="somewhere")
     for bad in ("abc", 10.5, True):
         with pytest.raises(ValueError, match="integer"):
             SamplerConfig(burn_in=bad)
