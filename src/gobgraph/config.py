@@ -34,20 +34,21 @@ def _is_int(value):
 
 
 def _is_number(value):
-    # an integer beyond the float range is not a number the model can use
-    return isinstance(value, float) or (_is_int(value)
-                                        and abs(value) <= sys.float_info.max)
+    # finite: .inf, .nan and an integer beyond the float range are not
+    # numbers the model can use
+    return ((isinstance(value, float) or _is_int(value))
+            and abs(value) <= sys.float_info.max)
 
 
 # the values `_read` accepts for each kind, keyed by the name its errors use
 _KINDS = {
     "an integer": _is_int,
     "an integer or null": lambda v: v is None or _is_int(v),
-    "a number": _is_number,
+    "a finite number": _is_number,
     "true or false": lambda v: isinstance(v, bool),
     "a list": lambda v: isinstance(v, list),
     "a list of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
-    "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "a list of finite numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
     "a list of [t, value] pairs": lambda v: isinstance(v, list) and all(
         isinstance(p, list) and len(p) == 2 and all(map(_is_number, p)) for p in v),
 }
@@ -102,22 +103,22 @@ _PER_EDGE_KEYS = {"cube": "scales", "simplex": "coeffs", "lq": "scales",
 # component and radial-density kinds: the class each builds, and its
 # parameters as {key: (kind, default)}
 _COMPONENTS = {
-    "power": (Power, {"a": ("a number", 1.0), "q": ("a number", 1.0)}),
-    "linear": (Linear, {"a": ("a number", 1.0)}),
-    "cap": (Cap, {"a": ("a number", 1.0)}),
+    "power": (Power, {"a": ("a finite number", 1.0), "q": ("a finite number", 1.0)}),
+    "linear": (Linear, {"a": ("a finite number", 1.0)}),
+    "cap": (Cap, {"a": ("a finite number", 1.0)}),
     "pwl": (PiecewiseLinearConvex,
             {"breakpoints": ("a list of [t, value] pairs", [])}),
 }
 _RADIALS = {
     "indicator": (Indicator, {}),
-    "exponential": (ExponentialDecay, {"rate": ("a number", 1.0)}),
-    "power_decay": (PowerDecay, {"exponent": ("a number", 1.0)}),
+    "exponential": (ExponentialDecay, {"rate": ("a finite number", 1.0)}),
+    "power_decay": (PowerDecay, {"exponent": ("a finite number", 1.0)}),
 }
 _SAMPLER_KEYS = {"method", "seed", "burn_in", "thinning", "start"}
 _SCAN_KEYS = {"mode", "n_list", "replicates", "beta", "grid", "pilot_draws"}
 _GRID_KEYS = {"kind", "gammas", "values", "sigma_normalized"}
 _NC_KINDS = {"reps": "an integer", "configurations": "an integer",
-             "set_size_max": "an integer", "quantile_range": "a list of numbers"}
+             "set_size_max": "an integer", "quantile_range": "a list of finite numbers"}
 _MOMENT_KINDS = {"reps": "an integer"}
 
 
@@ -191,16 +192,16 @@ def _parse_model(data):
         # coefficients c in {sum c_e x_e <= 1}; extent is 1/c
         key, make = "coeff", lambda c: Linear(1.0 / c)
     else:
-        q = canon["q"] = float(_read("model", data, "q", "a number"))
+        q = canon["q"] = float(_read("model", data, "q", "a finite number"))
         if not q >= 1:
             raise ConfigError(f"model: exponent q>=1 required, got q={q}")
         key, make = "scale", lambda a: Power(a, q)
-    canon[key] = float(_read("model", data, key, "a number", 1.0))
+    canon[key] = float(_read("model", data, key, "a finite number", 1.0))
     components = _positive_component(f"model.{key}", make, canon[key])
     list_key = _PER_EDGE_KEYS[family]
     if list_key in data:
         canon[list_key] = [float(v) for v in _read("model", data, list_key,
-                                                   "a list of numbers")]
+                                                   "a list of finite numbers")]
         components = [_positive_component(f"model.{list_key}", make, v)
                       for v in canon[list_key]]
     return ModelConfig(family, n, components), canon
@@ -274,6 +275,8 @@ def _vertex_counts(n_list, n):
         raise ConfigError("scan.n_list must be nonempty")
     for entry in n_list:
         _check_vertex_count("scan.n_list entries", entry)
+    if len(set(n_list)) != len(n_list):
+        raise ConfigError(f"scan.n_list entries must be distinct, got {n_list}")
     return n_list
 
 
@@ -295,19 +298,17 @@ def _parse_scan(data, mode, n):
     if grid.get(other, []) != []:
         raise ConfigError(f"scan.grid.{other} must be empty or absent when "
                           f"scan.grid.kind is {kind}, got {grid[other]!r}")
-    # ScanConfig checks that the entries are numbers
+    # ScanConfig checks that the entries are numbers, and that a
+    # connectivity grid is sigma-normalized
     entries = _read("scan.grid", grid, key, "a list", [])
     sigma_normalized = _read("scan.grid", grid, "sigma_normalized", "true or false",
                              mode == "connectivity")
-    if mode == "connectivity" and not sigma_normalized:
-        raise ConfigError("scan.grid.sigma_normalized applies to giant grids only: "
-                          "a connectivity grid is p = gamma * sigma_hat * log(n) / n")
     canon = {
         "mode": mode,
         "n_list": _vertex_counts(
             _read("scan", data, "n_list", "a list of integers", None), n),
         "replicates": _read("scan", data, "replicates", "an integer", 500),
-        "beta": float(_read("scan", data, "beta", "a number", 2.0)),
+        "beta": float(_read("scan", data, "beta", "a finite number", 2.0)),
         "grid": {"kind": kind,
                  "gammas": entries if kind == "gamma" else [],
                  "values": [] if kind == "gamma" else entries,

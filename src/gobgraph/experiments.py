@@ -5,9 +5,12 @@ Within a replicate one edge vector is drawn and thresholded at every p
 on the grid (coupling), which enforces monotonicity in p and cuts the
 variance of crossing-point estimates.  The replicates of a chunk are
 swept together, in batches (`graph.threshold_sweep`): every accumulator
-comes from the batch's component orders at each p.  All per-cell
-accumulators are integers, so reduction is exact and order-independent:
-results do not depend on the worker count or on where a batch ends.
+comes from the batch's component orders at each p, into the chunk's
+count table (a row per p), which is added to its spec's table by the
+spec's position.  The counts are integers, so reduction is exact and
+order-independent: results do not depend on the worker count or on
+where a batch ends.  A gamma grid is scaled by a pilot's sigma-hat when
+`ScanConfig.sigma_normalized` is set, which a connectivity scan must be.
 
 A replicate needs only the coordinates at or below the grid's largest p,
 so the chunks' sampler config carries that level as `censor_above`; the
@@ -66,6 +69,9 @@ class ScanConfig:
             raise ValueError(f"grid entries must be finite numbers, got {list(grid)}")
         if self.pilot_draws < 1:
             raise ValueError(f"need pilot_draws >= 1, got {self.pilot_draws}")
+        if self.mode == "connectivity" and not self.sigma_normalized:
+            raise ValueError("sigma_normalized applies to giant grids only: a "
+                             "connectivity grid is p = gamma * sigma_hat * log(n) / n")
 
 
 @dataclass
@@ -103,11 +109,11 @@ def resolve_grid(cfg, n, sigma_hat):
     """Materialize the p grid for one n."""
     if cfg.values:
         ps = [float(p) for p in cfg.values]
-    elif cfg.mode == "connectivity":
-        scale = sigma_hat * math.log(n) / n
-        ps = [g * scale for g in cfg.gammas]
     else:
-        scale = (sigma_hat if cfg.sigma_normalized else 1.0) / n
+        scale = sigma_hat if cfg.sigma_normalized else 1.0
+        if cfg.mode == "connectivity":
+            scale *= math.log(n)
+        scale /= n
         ps = [g * scale for g in cfg.gammas]
     for p in ps:
         if not 0.0 < p < 1.0:
@@ -124,7 +130,7 @@ def _pilot_sigma(sampler, stream, draws, dim):
     return math.sqrt(total / (draws * dim))
 
 
-# integer accumulators per grid cell, in the order `_cell_sums` returns them
+# the columns of a count table, in the order `_cell_sums` returns them
 _ACC_KEYS = ("connected", "has_isolated", "mid", "big", "giant",
              "isolated_sum", "max_comp_sum", "small_mass_sum")
 
@@ -146,7 +152,8 @@ def _cell_sums(orders, n, big_thresh, mass_cutoff):
 
 
 def _scan_chunk(payload):
-    """Run replicates [r0, r1) for one (n, grid) cell row; integer sums only.
+    """Run replicates [r0, r1) at one n; returns the (len(p_values),
+    len(_ACC_KEYS)) int64 count table and the number of kept coordinates.
 
     Each replicate's draw is cut to its coordinates at or below the grid's
     largest p, and the cut draws go to `graph.threshold_sweep` in batches:
@@ -174,28 +181,28 @@ def _scan_chunk(payload):
             edges_kept += held
             batch = []
             held = 0
-    out = {key: sums[:, j] for j, key in enumerate(_ACC_KEYS)}
-    out["edges_kept"] = edges_kept
-    return out
+    return sums, edges_kept
+
+
+def _share(count, reps):
+    """The proportion count / reps and its Wilson interval."""
+    return (count / reps, *wilson_interval(count, reps))
 
 
 def run_scan(specs, sampler_cfg, cfg, master_seed, workers=1):
-    """Drive the campaign over every spec in `specs` (one per n)."""
-    tasks = []
-    grids = {}
-    sigma_hats = {}
+    """Drive the campaign over every spec in `specs` (one per n); per-spec
+    lists are indexed by the spec's position, its chunks' `n_index`."""
+    needs_sigma = bool(cfg.gammas) and cfg.sigma_normalized
+    grids, sigma_hats, tasks = [], [], []
     for n_index, spec in enumerate(specs):
-        sampler = make_sampler(spec, sampler_cfg)
-        needs_sigma = bool(cfg.gammas) and (
-            cfg.mode == "connectivity" or cfg.sigma_normalized
-        )
         sigma_hat = None
         if needs_sigma:
             pilot = substream(master_seed, (n_index, _PILOT_KEY))
-            sigma_hat = _pilot_sigma(sampler, pilot, cfg.pilot_draws, spec.dim)
-        sigma_hats[spec.n] = sigma_hat
+            sigma_hat = _pilot_sigma(make_sampler(spec, sampler_cfg), pilot,
+                                     cfg.pilot_draws, spec.dim)
         p_values = resolve_grid(cfg, spec.n, sigma_hat)
-        grids[spec.n] = p_values
+        sigma_hats.append(sigma_hat)
+        grids.append(p_values)
         chunk_cfg = replace(sampler_cfg, censor_above=max(p_values))
         for r0 in range(0, cfg.replicates, _CHUNK):
             r1 = min(r0 + _CHUNK, cfg.replicates)
@@ -210,50 +217,34 @@ def run_scan(specs, sampler_cfg, cfg, master_seed, workers=1):
     else:
         partials = [_scan_chunk(t) for t in tasks]
 
-    # merge chunks per n (all accumulators are integers: order-independent)
-    merged = {}
-    for task, part in zip(tasks, partials):
-        n = task[0].n
-        if n not in merged:
-            merged[n] = part
-        else:
-            for key, arr in part.items():
-                merged[n][key] += arr
+    # add each chunk's table to its spec's (integers: order-independent)
+    sums = [np.zeros((len(grid), len(_ACC_KEYS)), dtype=np.int64) for grid in grids]
+    kept = [0] * len(specs)
+    for task, (chunk_sums, chunk_kept) in zip(tasks, partials):
+        n_index = task[4]
+        sums[n_index] += chunk_sums
+        kept[n_index] += chunk_kept
 
     rows = []
     reps = cfg.replicates
-    for spec in specs:
+    for spec, grid, table in zip(specs, grids, sums):
         n = spec.n
-        acc = merged[n]
-        for k, p in enumerate(grids[n]):
-            conn = int(acc["connected"][k])
-            iso = int(acc["has_isolated"][k])
-            mid = int(acc["mid"][k])
-            c_lo, c_hi = wilson_interval(conn, reps)
-            i_lo, i_hi = wilson_interval(iso, reps)
-            m_lo, m_hi = wilson_interval(mid, reps)
-            rows.append(ScanRow(
-                n=n, p=p, replicates=reps,
-                p_connected=conn / reps, p_connected_lo=c_lo, p_connected_hi=c_hi,
-                p_has_isolated=iso / reps, p_has_isolated_lo=i_lo,
-                p_has_isolated_hi=i_hi,
-                mean_isolated=int(acc["isolated_sum"][k]) / reps,
-                mean_giant_frac=int(acc["max_comp_sum"][k]) / (reps * n),
-                p_mid_component=mid / reps, p_mid_component_lo=m_lo,
-                p_mid_component_hi=m_hi,
-                small_mass_frac=int(acc["small_mass_sum"][k]) / (reps * n),
-                p_big_component=int(acc["big"][k]) / reps,
-                p_giant=int(acc["giant"][k]) / reps,
-            ))
+        for p, (conn, iso, mid, big, giant, iso_sum, largest_sum,
+                small_mass) in zip(grid, table.tolist()):
+            rows.append(ScanRow(n, p, reps, *_share(conn, reps), *_share(iso, reps),
+                                iso_sum / reps, largest_sum / (reps * n),
+                                *_share(mid, reps), small_mass / (reps * n),
+                                big / reps, giant / reps))
     rows.sort(key=lambda r: (r.n, r.p))
+    ns = [spec.n for spec in specs]
     meta = {
         "mode": cfg.mode,
         "master_seed": int(master_seed),
         "beta": cfg.beta,
         "replicates": reps,
-        "sigma_hat": sigma_hats,
-        "censor_above": {n: max(grid) for n, grid in grids.items()},
-        "edges_kept": {n: merged[n]["edges_kept"] for n in grids},
+        "sigma_hat": dict(zip(ns, sigma_hats)),
+        "censor_above": dict(zip(ns, map(max, grids))),
+        "edges_kept": dict(zip(ns, kept)),
     }
     return ScanResult(rows=rows, meta=meta)
 

@@ -161,11 +161,11 @@ class Indicator:
 
 
 class ExponentialDecay:
-    """h(u) = exp(-rate * u), rate > 0."""
+    """h(u) = exp(-rate * u), 0 < rate < inf."""
 
     def __init__(self, rate):
-        if not rate > 0:
-            raise ValueError(f"rate must be positive, got {rate}")
+        if not 0 < rate < INF:
+            raise ValueError(f"rate must be positive and finite, got {rate}")
         self.rate = float(rate)
 
     def weight(self, g):

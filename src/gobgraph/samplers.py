@@ -51,6 +51,8 @@ _BLOCK_BYTES = 8 << 20  # float64 coordinates per `draw_blocks` call
 # the censored simplex draw splits the exponentials at
 # level * max(coeffs) * (m + s sqrt(m) + s), s standard deviations of their sum
 _SPLIT_SIGMAS = 10.0
+# proposals `_draw_on_chord` makes before it gives up on a chord
+MAX_PROPOSALS = 10**6
 
 
 @dataclass
@@ -240,11 +242,13 @@ def _draw_on_chord(spec, x, u, t_lo, t_hi, stream, line=None):
     `line` is `spec.line(x, u)`, computed here when absent; with its
     curvature (quadratic specs) G(x + t*u) is the polynomial
     g0 + t*(slope + t*A), otherwise one `spec.total` per proposal.
+    A density that is 0 on nearly all of the chord would loop for ever,
+    so after MAX_PROPOSALS rejections this raises a RuntimeError.
     """
     h = spec.radial_density.weight
     g0, slope, curv = spec.line(x, u) if line is None else line
     h_max = h(max(0.0, g0 + min(slope * t_lo, slope * t_hi)))
-    while True:
+    for _ in range(MAX_PROPOSALS):
         t = stream.uniform(t_lo, t_hi)
         if curv is None:
             g = spec.total(np.maximum(x + t * u, 0.0))
@@ -252,6 +256,8 @@ def _draw_on_chord(spec, x, u, t_lo, t_hi, stream, line=None):
             g = g0 + t * (slope + t * curv)
         if stream.random() * h_max < h(g):
             return t
+    raise RuntimeError(f"{spec.radial_density!r} accepted none of {MAX_PROPOSALS} "
+                       "proposals on a hit-and-run chord")
 
 
 def hit_and_run(spec, cfg, stream, count):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ from gobgraph import cli, config, samplers
 from gobgraph.cli import main
 from gobgraph.config import MAX_VERTICES, ConfigError, config_hash, parse_config
 from gobgraph.experiments import er_connectivity_oracle
-from gobgraph.orlicz import Cap, GobSpec
+from gobgraph.orlicz import Cap, ExponentialDecay, GobSpec
 from gobgraph.report import CSV_HEADER, emit_csv, emit_plotdata
 from gobgraph.experiments import ScanResult, ScanRow
 from gobgraph.rng import substream
@@ -71,6 +72,22 @@ def test_parse_invariant_errors():
         parse_config("model: [not, a, mapping]\n")
     with pytest.raises(ConfigError, match="not valid YAML"):
         parse_config("model: {family: cube\n")
+
+
+def test_parse_numbers_are_finite():
+    # beta: .inf once ended in OverflowError, and rate: .inf hung `sample`
+    gob = ("model: {family: gob, n: 3, component: {kind: power, q: 2},\n"
+           "        radial_density: {kind: exponential, rate: %s}}\n")
+    for text in ("model: {family: simplex}\nscan: {n_list: [5], beta: .inf,\n"
+                 "       grid: {kind: explicit, values: [0.1]}}\n",
+                 gob % ".inf", gob % ".nan", gob % "-.inf",
+                 "model: {family: lq, n: 5, q: .nan}\n",
+                 "model: {family: cube, n: 3, scales: [1, .inf, 1]}\n"):
+        with pytest.raises(ConfigError, match="finite number"):
+            parse_config(text)
+    for rate in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            ExponentialDecay(rate)
 
 
 def test_parse_per_edge_length_mismatch():
@@ -320,6 +337,19 @@ def _write_cfg(tmp_path, text):
     p = tmp_path / "cfg.yaml"
     p.write_text(textwrap.dedent(text))
     return str(p)
+
+
+@pytest.mark.parametrize("name,command,digest", [
+    ("cube_scan.yaml", "scan-connectivity", "e40cd1ff6a26968b"),
+    ("simplex_connectivity.yaml", "scan-connectivity", "799315f9eaa24514"),
+    ("simplex_giant.yaml", "scan-giant", "349132bd94ce6753"),
+])
+def test_documented_scans_keep_their_bytes(tmp_path, name, command, digest):
+    # each documented scan at its own seed; numpy's generators fix the
+    # draws, and these digests were read with numpy 2.4.6
+    assert main([command, "--config", str(DOCS / name), "--out", str(tmp_path)]) == 0
+    csv = tmp_path / f"scan_{command.removeprefix('scan-')}.csv"
+    assert hashlib.sha256(csv.read_bytes()).hexdigest()[:16] == digest
 
 
 def test_cli_oracle_er(capsys):
@@ -699,6 +729,8 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
             ("sample", "model: {family: cube, n: 5, scale: null}\n"),
             ("sample", "model: {family: lq, n: 5, q: [2]}\n"),
             ("nc-test", "model: {family: cube, n: 5}\nnc_test: {configurations: 0}\n"),
+            # a repeated n, whose counts were merged into one n's
+            ("scan-connectivity", scan.replace("[5]", "[5, 5]") % (10, "[0.5]")),
             # and each of these once ran, on a value other than the one given
             ("sample", "model: {family: cube, n: 5.5}\n"),
             ("sample", simplex + "sampler: {seed: '5'}\n"),

@@ -87,6 +87,9 @@ def test_scan_config_validation():
         ScanConfig(mode="giant", values=(0.1, True))
     with pytest.raises(ValueError):
         ScanConfig(mode="giant", values=(0.1,), pilot_draws=0)
+    # a connectivity grid is p = gamma * sigma_hat * log(n) / n
+    with pytest.raises(ValueError, match="sigma_normalized"):
+        ScanConfig(mode="connectivity", gammas=(1.0,), sigma_normalized=False)
 
 
 def test_resolve_grid_modes():
@@ -258,12 +261,21 @@ def test_scan_chunk_memory_bounded():
     payload = (GobSpec(n, Linear(1.0)), cfg, ps, 5, 0, 0, 100, 2.0)
     tracemalloc.start()
     try:
-        out = experiments._scan_chunk(payload)
+        _, edges_kept = experiments._scan_chunk(payload)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out["edges_kept"] > samplers._BLOCK_BYTES // 16
+    assert edges_kept > samplers._BLOCK_BYTES // 16
     assert peak < 6 * samplers._BLOCK_BYTES
+
+
+def test_scan_merges_chunks_by_spec_position():
+    # two specs at one n keep their own counts; merged by n, they once
+    # summed to more successes than replicates (a ValueError)
+    alone = _cube_scan([5], 150, (0.5,))
+    twice = _cube_scan([5, 5], 150, (0.5,))
+    assert len(twice.rows) == 2
+    assert twice.rows[0] == alone.rows[0]
 
 
 def test_scan_meta_records_mode():

@@ -279,6 +279,18 @@ def test_draw_on_chord_matches_integrated_cdf(density):
     assert stats.kstest(draws, lambda t: np.interp(t, ts, cdf)).pvalue > 1e-3
 
 
+def test_draw_on_chord_gives_up_after_max_proposals(monkeypatch):
+    # h = (1 - u)^1e6 underflows to 0 on nearly all of a chord, so the
+    # rejection loop once ran for ever; it raises after MAX_PROPOSALS
+    monkeypatch.setattr(samplers, "MAX_PROPOSALS", 50)
+    spec = GobSpec(3, Power(a=1.0, q=2.0), radial_density=PowerDecay(1e6))
+    x = np.array([0.3, 0.45, 0.2])
+    u = np.array([1.0, -0.5, 0.8]) / np.sqrt(1.89)
+    t_lo, t_hi = spec.chord(x, u)
+    with pytest.raises(RuntimeError, match="PowerDecay.*50 proposals"):
+        _draw_on_chord(spec, x, u, t_lo, t_hi, _stream(19))
+
+
 def test_hit_and_run_radial_law_of_g():
     # power q = 2 with h(u) = exp(-1.5 u) at n = 6: G(X) has density
     # prop. to u^(d/2 - 1) exp(-1.5 u) on [0, 1], a truncated gamma law
