@@ -196,9 +196,11 @@ def _parse_model(data):
         if not q >= 1:
             raise ConfigError(f"model: exponent q>=1 required, got q={q}")
         key, make = "scale", lambda a: Power(a, q)
+    list_key = _PER_EDGE_KEYS[family]
+    if key in data and list_key in data:
+        raise ConfigError(f"{family} model: give {key} or {list_key}, not both")
     canon[key] = float(_read("model", data, key, "a finite number", 1.0))
     components = _positive_component(f"model.{key}", make, canon[key])
-    list_key = _PER_EDGE_KEYS[family]
     if list_key in data:
         canon[list_key] = [float(v) for v in _read("model", data, list_key,
                                                    "a list of finite numbers")]

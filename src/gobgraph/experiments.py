@@ -14,8 +14,10 @@ where a batch ends.  A gamma grid is scaled by a pilot's sigma-hat when
 
 A replicate needs only the coordinates at or below the grid's largest p,
 so the chunks' sampler config carries that level as `censor_above`; the
-exact simplex sampler then draws those coordinates alone (see
-`samplers`).  The pilot draws full vectors.  The level and the number of
+exact simplex sampler then draws those coordinates alone and hands them
+over as (positions, values) pairs, which go to the sweep as they are,
+while a dense row from any other method is cut here (`_kept_edges`).
+The pilot draws full vectors.  The level and the number of
 coordinates at or below it (`edges_kept`, summed over replicates) are
 recorded per n in the result's meta, not in the rows.
 """
@@ -23,7 +25,6 @@ recorded per n in the result's meta, not in the rows.
 import math
 import numbers
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -124,9 +125,10 @@ def resolve_grid(cfg, n, sigma_hat):
 def _pilot_sigma(sampler, stream, draws, dim):
     """Root mean second moment over all edges, estimated streaming.  The
     rows' sums of squares are added exactly (`math.fsum`), so the estimate
-    does not depend on how `draw_blocks` splits the rows into blocks."""
+    does not depend on how `draw_blocks` splits the rows into blocks.  Each
+    block is squared in place: no one else holds it."""
     total = math.fsum(row for X in draw_blocks(sampler, stream, draws, dim)
-                      for row in (X * X).sum(axis=1).tolist())
+                      for row in np.square(X, out=X).sum(axis=1).tolist())
     return math.sqrt(total / (draws * dim))
 
 
@@ -151,12 +153,23 @@ def _cell_sums(orders, n, big_thresh, mass_cutoff):
             giants.sum(), isolated.sum(), largest.sum(), small_mass)
 
 
+def _kept_edges(x, level):
+    """One replicate's draw as the (positions, values) pair of its
+    coordinates at or below `level`: a censored draw is that pair already,
+    a dense row is cut here."""
+    if isinstance(x, tuple):
+        return x
+    kept = np.flatnonzero(x <= level)
+    return kept, x[kept]
+
+
 def _scan_chunk(payload):
     """Run replicates [r0, r1) at one n; returns the (len(p_values),
     len(_ACC_KEYS)) int64 count table and the number of kept coordinates.
 
     Each replicate's draw is cut to its coordinates at or below the grid's
-    largest p, and the cut draws go to `graph.threshold_sweep` in batches:
+    largest p (`_kept_edges`), and the cut draws go to
+    `graph.threshold_sweep` in batches:
     a batch is swept once it holds `samplers._BLOCK_BYTES // 16` kept
     coordinates (an 8-byte position and an 8-byte value each), and at the
     end of the chunk.
@@ -171,10 +184,10 @@ def _scan_chunk(payload):
     batch = []
     held = edges_kept = 0
     for r in range(r0, r1):
-        x = sampler(substream(master_seed, (n_index, r + 1)), 1)[0]
-        kept = np.flatnonzero(x <= level)
-        batch.append((kept, x[kept]))
-        held += len(kept)
+        kept = _kept_edges(sampler(substream(master_seed, (n_index, r + 1)), 1)[0],
+                           level)
+        batch.append(kept)
+        held += len(kept[0])
         if held >= samplers._BLOCK_BYTES // 16 or r == r1 - 1:
             for k, orders in threshold_sweep(n, batch, p_values):
                 sums[k] += _cell_sums(orders, n, big_thresh, mass_cutoff)
@@ -212,6 +225,10 @@ def run_scan(specs, sampler_cfg, cfg, master_seed, workers=1):
     # a pool of this size starts every worker at once, busy or not
     workers = min(workers, len(tasks))
     if workers > 1:
+        # imported here: the pool's modules (concurrent.futures,
+        # multiprocessing) would slow every command's start, and a serial
+        # scan uses none of them
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_scan_chunk, tasks))
     else:

@@ -8,7 +8,9 @@ Components come from one vectorized union-find, `_merge`: min-label
 hooking with pointer jumping over whole edge arrays.  `threshold_sweep`
 runs it over a batch of graphs at once, each graph on its own block of
 vertex labels, adding the edges cut by cut as a p grid rises, so a
-whole grid for a whole batch costs one pass.  `components` runs it over
+whole grid for a whole batch costs one pass; each edge's cut, the first
+p that admits it, is counted by comparisons with the grid (`_cut_index`),
+not found by binary search.  `components` runs it over
 the edges of a single `ThresholdGraph`; `components_bfs` is an
 independent BFS oracle for both.
 """
@@ -92,8 +94,8 @@ def threshold_sweep(n, graphs, p_values):
     indexing `p_values`: `orders[b, v]` is the order of the component of
     graph b whose least vertex is v, and 0 where v is no component's
     least vertex.  A coordinate above every p never enters a graph, so a
-    censored vector (its coordinates above the grid dropped) gives the
-    orders of the full one.
+    censored draw (the pair of its coordinates at or below the grid's
+    largest p) gives the orders of the full vector.
     """
     ps = np.array([_check_p(p) for p in p_values], dtype=float)
     order = np.argsort(ps, kind="stable")
@@ -111,10 +113,10 @@ def _cut_edges(n, graphs, sorted_ps):
     sizes = [len(pos) for pos, _ in graphs]
     if sizes != [len(val) for _, val in graphs]:
         raise ValueError("each graph needs one value per edge position")
-    cut = np.searchsorted(sorted_ps, np.concatenate([val for _, val in graphs]),
-                          side="left")
-    # the order of the edges within a cut does not change its components
-    by_cut = np.argsort(cut)
+    cut = _cut_index(sorted_ps, np.concatenate([val for _, val in graphs]))
+    # the order of the edges within a cut does not change its components;
+    # a stable sort of small unsigned integers is numpy's radix sort
+    by_cut = np.argsort(cut, kind="stable")
     per_cut = np.bincount(cut, minlength=len(sorted_ps))[:len(sorted_ps)]
     pos = np.concatenate([np.asarray(pos, dtype=np.int64) for pos, _ in graphs])[by_cut]
     d = edge_count(n)
@@ -125,6 +127,21 @@ def _cut_edges(n, graphs, sorted_ps):
     us += offset
     vs += offset
     return us, vs, [0] + np.cumsum(per_cut).tolist()
+
+
+def _cut_index(sorted_ps, x):
+    """For each x_e, the number of grid p at which edge e is absent (not
+    x_e <= p): the index of the first p >= x_e in the ascending grid, or
+    len(sorted_ps) when there is none, as `np.searchsorted(sorted_ps, x,
+    side="left")` gives.  It is counted with one comparison pass per p
+    into the smallest unsigned type that holds len(sorted_ps), which is
+    cheaper than a binary search per edge on the short grids of a scan."""
+    g = len(sorted_ps)
+    cut = np.full(x.shape, g, dtype=np.min_scalar_type(g))
+    present = np.empty(x.shape, dtype=bool)
+    for p in sorted_ps:
+        cut -= np.less_equal(x, p, out=present)
+    return cut
 
 
 def _stats(n, orders):

@@ -30,12 +30,12 @@ from the stream, for every method.
 A threshold scan keeps only the coordinates at or below the largest p of
 its grid, so with `SamplerConfig.censor_above` set to that level the
 exact simplex sampler draws those coordinates alone
-(`sample_simplex_censored`) and returns +inf in place of every other one.
-Each vector has the law of a dense draw with the coordinates above the
-level replaced by +inf, so every graph at a threshold up to the level has
-its exact law; the stream is used differently from a dense draw, so the
-values differ.  The other methods ignore the level and return full
-vectors.
+(`sample_simplex_censored`) and returns each draw as that set, a pair
+(positions, values), with no array of d coordinates.  Each pair has the
+law of a dense draw's coordinates at or below the level, so every graph
+at a threshold up to the level has its exact law; the stream is used
+differently from a dense draw, so the values differ.  The other methods
+ignore the level and return full (count, d) arrays.
 """
 
 import math
@@ -63,8 +63,8 @@ class SamplerConfig:
     methods ignore them.  censor_above, when set, is a level above which
     the caller discards every coordinate (a scan sets it to the largest p
     of its grid); exact_simplex then draws only the coordinates at or
-    below it and returns +inf for the others.  It is set by the scan, not
-    read from a config file.
+    below it and returns each draw as a (positions, values) pair of them.
+    It is set by the scan, not read from a config file.
     """
 
     method: str = "hit_and_run"
@@ -122,7 +122,12 @@ def sample_simplex(n, coeffs, stream, count=1):
 
 
 def sample_simplex_censored(n, coeffs, level, stream, count=1):
-    """`sample_simplex` draws with every coordinate above `level` set to +inf.
+    """`sample_simplex` draws cut to their coordinates at or below `level`.
+
+    Returns a list of `count` pairs (positions, values), one per draw: the
+    positions in [0, d) of the kept coordinates, in the order they were
+    drawn, and their values.  A coordinate above the level is not held
+    anywhere, so a draw costs about its number of kept coordinates, not d.
 
     Only the coordinates at or below the level are drawn (Devroye,
     Non-Uniform Random Variate Generation, 1986, ch. V).  With m = d + 1
@@ -149,8 +154,8 @@ def sample_simplex_censored(n, coeffs, level, stream, count=1):
     top = level * float(coeffs.max())  # E_i > top * S gives x_i > level
     c = max(0.0, top * (m + _SPLIT_SIGMAS * (math.sqrt(m) + 1.0)))
     below = -math.expm1(-c)  # P(E_i <= c)
-    out = np.full((count, d), np.inf)
-    for row in out:
+    out = []
+    for _ in range(count):
         k = int(stream.binomial(m, below))
         pos = stream.choice(m, k, replace=False, shuffle=False)
         e = -np.log1p(-below * stream.random(k))
@@ -168,7 +173,7 @@ def sample_simplex_censored(n, coeffs, level, stream, count=1):
         pos = pos[edge]
         x = e[edge] / s / (coeffs[pos] if coeffs.ndim else coeffs)
         keep = x <= level
-        row[pos[keep]] = x[keep]
+        out.append((pos[keep], x[keep]))
     return out
 
 
@@ -364,7 +369,9 @@ def check_method(spec, method):
 
 
 def make_sampler(spec, cfg):
-    """Bind a spec and config into a callable (stream, count) -> (count, d)."""
+    """Bind a spec and config into a callable (stream, count) -> (count, d)
+    array, or -> `count` (positions, values) pairs for a censored
+    exact_simplex config (`sample_simplex_censored`)."""
     check_method(spec, cfg.method)
     n = spec.n
     if cfg.method == "exact_cube":

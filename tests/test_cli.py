@@ -196,8 +196,8 @@ def test_documented_configs_roundtrip(name, mode, pinned):
 
 
 @pytest.mark.parametrize("text,mode,pinned", [
-    ("model: {family: lq, n: 3, q: 2, scale: 3, scales: [1, 2, 3]}\n"
-     "sampler: {seed: 5}\n", "connectivity", "2eb6bc7568971a28"),
+    ("model: {family: lq, n: 3, q: 2, scales: [1, 2, 3]}\n"
+     "sampler: {seed: 5}\n", "connectivity", "aaa5d6a6b3d0c129"),
     ("model:\n  family: gob\n  n: 3\n  components:\n    - {kind: linear}\n"
      "    - {kind: power, q: 3}\n    - {kind: pwl, breakpoints: [[0, 0], [1, 2]]}\n"
      "  radial_density: {kind: power_decay}\n"
@@ -756,6 +756,18 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2, text
         assert "config error" in capsys.readouterr().err
 
+    # a family's scalar given with its per-edge list was once ignored
+    for text, keys in [
+            ("model: {family: lq, n: 3, q: 2, scale: 3, scales: [1, 2, 3]}\n",
+             "scale or scales"),
+            ("model: {family: simplex, n: 3, coeff: 5.0, coeffs: [1, 1, 1]}\n",
+             "coeff or coeffs")]:
+        capsys.readouterr()
+        cfg = _write_cfg(tmp_path, text)
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and keys in err, err
+
     # a vertex count above the bound (10**8 once ended in MemoryError);
     # zero draws keep the command cheap should the bound ever be missing
     for n in (MAX_VERTICES + 1, 10**8):
@@ -866,10 +878,12 @@ def test_perfbench_tracer_finds_the_names_it_rebinds(tmp_path):
 
 def test_cli_import_leaves_scipy_stats_out():
     # scipy.stats costs about a second of start-up; only validate_sampler
-    # needs it, so importing the CLI must not pull it in
+    # needs it, so importing the CLI must not pull it in; nor the process
+    # pool's modules (about 19 ms), which only a scan at --workers > 1 uses
     src = str(Path(gobgraph.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, gobgraph.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, gobgraph.cli; print([m for m in ('scipy.stats', "
+            "'concurrent.futures', 'multiprocessing') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import tracemalloc
 from fractions import Fraction
@@ -189,7 +190,7 @@ def test_scan_pool_no_larger_than_its_tasks(monkeypatch, n_values, reps, workers
             return map(fn, tasks)
 
     serial = _cube_scan(n_values, reps, (0.3, 0.6))
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     pooled = _cube_scan(n_values, reps, (0.3, 0.6), workers=workers)
     assert sizes == ([] if pool_size is None else [pool_size])
     assert pooled.rows == serial.rows
@@ -205,8 +206,7 @@ def test_scan_records_censor_level_and_edges_kept():
     assert result.meta["censor_above"] == {5: 0.4, 7: 0.4}
     sampler = make_sampler(specs[1], SamplerConfig(method="exact_simplex",
                                                    censor_above=0.4))
-    replay = sum(int(np.count_nonzero(sampler(substream(21, (1, r + 1)), 1) <= 0.4))
-                 for r in range(250))
+    replay = sum(len(sampler(substream(21, (1, r + 1)), 1)[0][0]) for r in range(250))
     assert result.meta["edges_kept"][7] == replay
     assert all(isinstance(v, int) and v > 0 for v in result.meta["edges_kept"].values())
 

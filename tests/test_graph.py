@@ -9,6 +9,7 @@ from gobgraph import (build_graph, components, components_bfs, edge_count,
                       edge_endpoints, edge_index, small_component_mass,
                       threshold_sweep)
 from gobgraph.experiments import _cell_sums
+from gobgraph.graph import _cut_index
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +217,8 @@ def test_sweep_matches_bfs_per_threshold(data, n, grid, beta):
        grid=st.lists(st.sampled_from(_LEVELS + (0.05, 0.3, 0.6)), min_size=1,
                      max_size=6))
 def test_sweep_of_censored_vector_matches_full(data, n, level, grid):
-    # a censored draw is the full vector with +inf above the level: every
-    # p <= level sees the same graph, whether the sweep is handed the
+    # a censored draw holds the full vector's coordinates up to the level:
+    # every p <= level sees the same graph, whether the sweep is handed the
     # coordinates up to the level or every coordinate
     xs = _draw_batch(data, n, _LEVELS + (0.9,))
     ps = [p for p in grid if p <= level] or [level]
@@ -226,6 +227,24 @@ def test_sweep_of_censored_vector_matches_full(data, n, level, grid):
     for cut_at in (level, np.inf):
         swept = _sweep(n, censored, ps, cut_at)
         assert all(np.array_equal(swept[k], full[k]) for k in full)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), size=st.sampled_from([1, 2, 7, 255, 256, 300]))
+def test_cut_index_is_searchsorted_left(data, size):
+    # repeated p and ties x_e == p from a small value set; x_e = 0 below
+    # and 1, +inf and nan above every p; 256 p and more need a type wider
+    # than uint8
+    levels = st.sampled_from(_LEVELS)
+    ps = np.sort(data.draw(st.lists(levels | st.floats(0.01, 0.99),
+                                    min_size=size, max_size=size)))
+    xs = np.array(data.draw(st.lists(st.sampled_from(ps.tolist()) | levels
+                                     | st.floats(0.0, 1.0), max_size=40))
+                  + [0.0, ps[0], ps[-1], 1.0, np.inf, np.nan])
+    cut = _cut_index(ps, xs)
+    assert np.iinfo(cut.dtype).max >= size
+    assert cut.dtype.itemsize == (1 if size < 256 else 2)
+    assert np.array_equal(cut, np.searchsorted(ps, xs, side="left"))
 
 
 def test_sweep_validation():

@@ -102,15 +102,28 @@ _CENSOR_N, _CENSOR_D = 12, 66
 _EDGE_COEFFS = np.concatenate([[2.0, 0.5], np.linspace(0.6, 1.9, _CENSOR_D - 2)])
 
 
+def _densify(pairs, d, level):
+    """The (len(pairs), d) array of censored draws, +inf where a draw kept
+    no coordinate; checks each pair's positions and values first."""
+    out = np.full((len(pairs), d), np.inf)
+    for row, (pos, val) in zip(out, pairs):
+        assert pos.shape == val.shape and pos.dtype.kind == "i"
+        assert np.unique(pos).size == pos.size
+        assert np.all((0 <= pos) & (pos < d)) and np.all(val <= level)
+        row[pos] = val
+    return out
+
+
 def _censored_vs_dense(coeffs, level, reps=20_000):
     """Two-sample KS p-values, censored against dense draws, of per-row
     statistics (iid across rows): the count of coordinates at or below
     the level, their sum, and edges 0 and 1 where kept."""
-    A = sample_simplex_censored(_CENSOR_N, coeffs, level, _stream(40), reps)
+    pairs = sample_simplex_censored(_CENSOR_N, coeffs, level, _stream(40), reps)
+    assert len(pairs) == reps
+    A = _densify(pairs, _CENSOR_D, level)
     B = sample_simplex(_CENSOR_N, np.broadcast_to(coeffs, (_CENSOR_D,)),
                        _stream(41), reps)
-    assert A.shape == B.shape == (reps, _CENSOR_D)
-    assert np.all((A <= level) | (A == np.inf))
+    assert B.shape == (reps, _CENSOR_D)
     kept_a, kept_b = A <= level, B <= level
     stats_a = [kept_a.sum(axis=1), np.where(kept_a, A, 0.0).sum(axis=1),
                A[kept_a[:, 0], 0], A[kept_a[:, 1], 1]]
@@ -137,15 +150,16 @@ def test_censored_simplex_fallback_matches_dense(monkeypatch, coeffs, sigmas):
 
 def test_censored_simplex_zero_count_and_arguments():
     probed, fresh = _stream(42), _stream(42)
-    empty = sample_simplex_censored(5, 1.0, 0.1, probed, 0)
-    assert empty.shape == (0, 10)
-    assert np.array_equal(sample_simplex_censored(5, 1.0, 0.1, probed, 2),
-                          sample_simplex_censored(5, 1.0, 0.1, fresh, 2))
+    assert sample_simplex_censored(5, 1.0, 0.1, probed, 0) == []
+    first = sample_simplex_censored(5, 1.0, 0.1, probed, 2)
+    again = sample_simplex_censored(5, 1.0, 0.1, fresh, 2)
+    assert np.array_equal(_densify(first, 10, 0.1), _densify(again, 10, 0.1))
     sampler = make_sampler(GobSpec(5, Linear(1.0)),
                            SamplerConfig(method="exact_simplex", censor_above=0.1))
     probed, fresh = _stream(43), _stream(43)
-    assert sampler(probed, 0).shape == (0, 10)
-    assert np.array_equal(sampler(probed, 2), sampler(fresh, 2))
+    assert sampler(probed, 0) == []
+    assert np.array_equal(_densify(sampler(probed, 2), 10, 0.1),
+                          _densify(sampler(fresh, 2), 10, 0.1))
     with pytest.raises(ValueError):
         sample_simplex_censored(3, np.array([1.0, 0.0, 1.0]), 0.1, _stream(), 1)
     with pytest.raises(ValueError):
