@@ -27,6 +27,7 @@ from .samplers import SamplerConfig, check_method
 
 
 MAX_VERTICES = 10_000  # a dense edge vector at this n is 400 MB
+MAX_NC_CONFIGURATIONS = 10_000  # `nc-test` makes each one's stream up front
 
 
 def _is_int(value):
@@ -350,9 +351,9 @@ def parse_config(text, scan_mode="connectivity"):
     sampler, canon_sampler = _parse_sampler(raw.get("sampler"), model.family)
     scan, canon_scan = _parse_scan(raw.get("scan"), scan_mode, model.n)
     nc = _parse_values("nc_test", raw.get("nc_test"), _NC_KINDS)
-    if nc.get("configurations", 1) < 1:
-        raise ConfigError(
-            f"nc_test.configurations must be >= 1, got {nc['configurations']}")
+    if not 1 <= nc.get("configurations", 1) <= MAX_NC_CONFIGURATIONS:
+        raise ConfigError(f"nc_test.configurations must lie in [1, "
+                          f"{MAX_NC_CONFIGURATIONS}], got {nc['configurations']}")
     if "quantile_range" in nc:
         q_range = nc["quantile_range"]
         if not (len(q_range) == 2 and 0.0 <= q_range[0] < q_range[1] <= 1.0):

@@ -42,6 +42,7 @@ from .samplers import draw_blocks, make_sampler
 
 _CHUNK = 100  # replicates per work item; fixed so results ignore worker count
 _PILOT_KEY = 0  # replicate index 0 is reserved for the pilot moment stream
+MAX_REPLICATES = 10**7  # `run_scan` lists a task per _CHUNK of them up front
 
 
 @dataclass
@@ -57,8 +58,9 @@ class ScanConfig:
     def __post_init__(self):
         if self.mode not in ("connectivity", "giant"):
             raise ValueError(f"mode must be connectivity or giant, got {self.mode!r}")
-        if self.replicates < 30:
-            raise ValueError(f"need replicates >= 30, got {self.replicates}")
+        if not 30 <= self.replicates <= MAX_REPLICATES:
+            raise ValueError(f"replicates must lie in [30, {MAX_REPLICATES}], "
+                             f"got {self.replicates}")
         if not self.beta > 1:
             raise ValueError(f"beta must be > 1, got {self.beta}")
         if bool(self.gammas) == bool(self.values):

@@ -273,9 +273,11 @@ class GobSpec:
         self._pwl = [(slice(None) if self.uniform else slice(k, k + 1),
                       self.components[k]) for k in pwl]
         # no PWL component and every Power a square: G along any line is
-        # g0 + s*t + A*t^2 inside the coordinate box
+        # g0 + s*t + A*t^2 inside the coordinate box; with no Power
+        # component either, A = 0 and G is affine there
         self.quadratic = not pwl and all(
             c.q == 2.0 for c in self.components if isinstance(c, Power))
+        self.affine = not pwl and not powr
 
     # -- geometric queries --------------------------------------------------
 
@@ -320,15 +322,15 @@ class GobSpec:
 
         One `total_and_slope` pass.  On a quadratic spec the curvature is
         A = sum over the Power coordinates of (u_e/a_e)^2, so that
-        G(x + t*u) = G(x) + slope*t + A*t^2 inside the coordinate box; on
-        every other spec it is None.  x must lie in the orthant and inside
-        every cap.
+        G(x + t*u) = G(x) + slope*t + A*t^2 inside the coordinate box (0.0
+        on an affine spec); on every other spec it is None.  x must lie in
+        the orthant and inside every cap.
         """
         g, slope = self.total_and_slope(x, u)
+        if self.affine:
+            return g, slope, 0.0
         if not self.quadratic:
             return g, slope, None
-        if self._pow_idx is None:
-            return g, slope, 0.0
         w = u[self._pow_idx] * self._pow_inv
         return g, slope, float(w @ w)
 

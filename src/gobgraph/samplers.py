@@ -3,10 +3,14 @@
 Exact samplers cover the cube (all-Cap), simplex (all-Linear) and
 scaled l_q orthant (all-Power) special cases; hit-and-run covers the
 general ball, including radial densities h(sum f_e(x_e)) restricted to
-the ball.  Each hit-and-run step evaluates G and its slope along the new
+the ball.  Every spec runs one chain loop, `hit_and_run`, which draws
+in blocks of at most 4096 steps and `_BLOCK_BYTES` of normals.  On an
+affine spec (`GobSpec.affine`) the chain keeps G(x) as a running sum and
+cuts the box limits of `orlicz.box_bracket` by its level set.  On any
+other spec each step evaluates G and its slope along the new
 direction once, at the current point (`GobSpec.line`), and shares that
 evaluation with the interior check and the chord (`GobSpec.chord`: one
-pass of `orlicz.box_bracket` for both coordinate-box limits, then the
+pass of `box_bracket` for both coordinate-box limits, then the
 quadratic formula on quadratic specs or Newton's method) and with the
 draw on the chord.  That draw is exact: uniform under the Indicator
 density, by rejection from the uniform law otherwise, with the radial
@@ -234,7 +238,7 @@ def start_point(spec):
     return 0.5 * np.broadcast_to(extents, (d,))
 
 
-def _draw_on_chord(spec, x, u, t_lo, t_hi, stream, line=None):
+def _draw_on_chord(spec, x, u, t_lo, t_hi, stream, line):
     """Exact draw of t from the density prop. to h(G(x + t*u)) on the chord.
 
     Rejection from the uniform law on [t_lo, t_hi] (Devroye, Non-Uniform
@@ -244,14 +248,15 @@ def _draw_on_chord(spec, x, u, t_lo, t_hi, stream, line=None):
     has h(G(x + t*u)) <= h(l), and a proposal t is accepted with
     probability h(G(x + t*u)) / h(l).  x is strictly interior, so
     G(x) < 1 and h(l) > 0 for both ExponentialDecay and PowerDecay.
-    `line` is `spec.line(x, u)`, computed here when absent; with its
-    curvature (quadratic specs) G(x + t*u) is the polynomial
-    g0 + t*(slope + t*A), otherwise one `spec.total` per proposal.
+    `line` is `spec.line(x, u)`, or its value (g0, slope, 0.0) from the
+    chain's running sum on an affine spec; with a curvature (quadratic
+    specs) G(x + t*u) is the polynomial g0 + t*(slope + t*A), otherwise
+    one `spec.total` per proposal.
     A density that is 0 on nearly all of the chord would loop for ever,
     so after MAX_PROPOSALS rejections this raises a RuntimeError.
     """
     h = spec.radial_density.weight
-    g0, slope, curv = spec.line(x, u) if line is None else line
+    g0, slope, curv = line
     h_max = h(max(0.0, g0 + min(slope * t_lo, slope * t_hi)))
     for _ in range(MAX_PROPOSALS):
         t = stream.uniform(t_lo, t_hi)
@@ -271,75 +276,60 @@ def hit_and_run(spec, cfg, stream, count):
     With an Indicator radial density the stationary law is uniform on the
     ball intersected with the orthant; otherwise the chord coordinate is
     drawn exactly from the one-dimensional density prop. to
-    h(sum f_e(.)) by `_draw_on_chord`.
+    h(sum f_e(.)) by `_draw_on_chord`.  A block of
+    min(4096, _BLOCK_BYTES // (8d)) steps draws its directions,
+    `standard_normal((m, d))`, then under the Indicator density its chord
+    positions, `random(m)`.  On an affine spec G(x) is the running sum
+    x @ w, w the weights 1/a of the linear coordinates (0 on caps),
+    recomputed every 1024 steps against float drift.
     """
     d = spec.dim
     if count == 0:
         return np.empty((0, d))
     burn, thin = cfg.resolved_schedule(d)
     uniform_chord = isinstance(spec.radial_density, Indicator)
+    affine = spec.affine
     x = start_point(spec)
-    linear_only = spec._pow_idx is None and not spec._pwl
-    if uniform_chord and linear_only:
-        return _hit_and_run_linear(spec, x, stream, count, burn, thin)
+    if affine:
+        w = np.zeros(d)
+        if spec._lin_idx is not None:
+            w[spec._lin_idx] = spec._lin_inv
+        g = float(x @ w)
     out = np.empty((count, d))
     k = 0
     total_steps = burn + count * thin
-    for step in range(total_steps):
-        u = stream.standard_normal(d)
-        u /= math.sqrt(u @ u)  # the bits of np.linalg.norm(u), without its overhead
-        line = spec.line(x, u)  # the step's one evaluation of G at x
-        t_lo, t_hi = spec.chord(x, u, line=line)
-        if uniform_chord:
-            t = stream.uniform(t_lo, t_hi)
-        else:
-            t = _draw_on_chord(spec, x, u, t_lo, t_hi, stream, line)
-        x = np.maximum(x + t * u, 0.0)
-        if step >= burn and (step - burn) % thin == thin - 1:
-            out[k] = x
-            k += 1
-    return out
-
-
-def _hit_and_run_linear(spec, x, stream, count, burn, thin):
-    """Uniform-law chain with analytic chords (linear/cap components only).
-
-    The constraint sum is affine along any line, so both chord endpoints
-    come from closed forms: the box limits of `box_bracket`, cut by the
-    level set of the sum.  The running sum g = x @ w, w the per-edge
-    weights 1/a of the linear coordinates (0 on caps), is updated
-    incrementally and refreshed periodically against float drift.
-    """
-    d = spec.dim
-    a = spec.a
-    w = np.zeros(d)
-    if spec._lin_idx is not None:
-        w[spec._lin_idx] = spec._lin_inv
-    g = float(x @ w)
-    out = np.empty((count, d))
-    k = 0
-    total_steps = burn + count * thin
-    block = 4096  # RNG draws come in blocks to cut per-step overhead
+    block = min(4096, max(1, _BLOCK_BYTES // (8 * d)))
     for step in range(total_steps):
         j = step % block
         if j == 0:
+            normals = u = None  # u is a row of the last block: free it first
             m = min(block, total_steps - step)
             normals = stream.standard_normal((m, d))
-            uniforms = stream.random(m)
+            if uniform_chord:
+                uniforms = stream.random(m)
         u = normals[j]
-        u = u / np.sqrt(u @ u)
-        s = u @ w
-        lo, hi = box_bracket(x, u, a)
-        if s > 0:
-            hi = min(hi, (1.0 - g) / s)
-        elif s < 0:
-            lo = min(lo, (1.0 - g) / -s)
-        t = -lo + uniforms[j] * (hi + lo)
-        x = x + t * u
-        np.maximum(x, 0.0, out=x)
-        g += t * s
-        if step % 1024 == 1023:
-            g = float(x @ w)
+        u /= math.sqrt(u @ u)  # the bits of np.linalg.norm(u), without its overhead
+        if affine:
+            s = u @ w
+            lo, hi = box_bracket(x, u, spec.a)
+            if s > 0:
+                hi = min(hi, (1.0 - g) / s)
+            elif s < 0:
+                lo = min(lo, (1.0 - g) / -s)
+            t_lo, t_hi = -lo, hi
+            line = (g, s, 0.0)
+        else:
+            line = spec.line(x, u)  # the step's one evaluation of G at x
+            t_lo, t_hi = spec.chord(x, u, line=line)
+        if uniform_chord:
+            t = t_lo + uniforms[j] * (t_hi - t_lo)
+        else:
+            t = _draw_on_chord(spec, x, u, t_lo, t_hi, stream, line)
+        x = np.maximum(x + t * u, 0.0)
+        if affine:
+            g += t * s
+            if step % 1024 == 1023:
+                g = float(x @ w)
         if step >= burn and (step - burn) % thin == thin - 1:
             out[k] = x
             k += 1
@@ -414,7 +404,6 @@ class ValidationReport:
     reason: str
     max_ks: float | None = None
     critical: float | None = None
-    per_coord: np.ndarray | None = None
 
 
 def validate_sampler(spec, cfg, stream_pair, draws=8000, alpha=0.01):
@@ -441,4 +430,4 @@ def validate_sampler(spec, cfg, stream_pair, draws=8000, alpha=0.01):
     ok = bool(np.max(ks) < crit)
     reason = "max marginal KS below critical" if ok else "marginal KS exceeds critical"
     return ValidationReport(ok=ok, reason=reason, max_ks=float(np.max(ks)),
-                            critical=float(crit), per_coord=ks)
+                            critical=float(crit))

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 import gobgraph
 from gobgraph import cli, config, samplers
 from gobgraph.cli import main
-from gobgraph.config import MAX_VERTICES, ConfigError, config_hash, parse_config
-from gobgraph.experiments import er_connectivity_oracle
+from gobgraph.config import (MAX_NC_CONFIGURATIONS, MAX_VERTICES, ConfigError,
+                             config_hash, parse_config)
+from gobgraph.experiments import MAX_REPLICATES, er_connectivity_oracle
 from gobgraph.orlicz import Cap, ExponentialDecay, GobSpec
 from gobgraph.report import CSV_HEADER, emit_csv, emit_plotdata
 from gobgraph.experiments import ScanResult, ScanRow
@@ -814,6 +815,33 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
             main(["scan-connectivity", "--config", ok, "--out", str(tmp_path / "o"),
                   "--workers", workers])
         assert exc.value.code == 2
+
+
+def test_cli_list_building_counts_are_bounded(tmp_path, capsys):
+    # a scan lists one task per 100 replicates and nc-test one stream per
+    # configuration before the first draw; one over each bound is a config
+    # error that names its key, raised before anything is allocated
+    for command, text, key in [
+            ("scan-connectivity",
+             "model: {family: simplex, n: 5}\nscan: {replicates: %d, "
+             "grid: {kind: gamma, gammas: [1.0]}}\n" % (MAX_REPLICATES + 1),
+             "scan: replicates"),
+            ("nc-test", "model: {family: simplex, n: 5}\n"
+             "nc_test: {configurations: %d}\n" % (MAX_NC_CONFIGURATIONS + 1),
+             "nc_test.configurations")]:
+        cfg = _write_cfg(tmp_path, text)
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err, err
+        assert peak < 1 << 20
+        assert not (tmp_path / "o").exists()
 
 
 def test_cli_internal_value_error_exits_1(tmp_path):

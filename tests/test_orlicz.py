@@ -538,6 +538,20 @@ def test_quadratic_flag(components, quadratic):
     assert (curv is None) is (not quadratic)
 
 
+@pytest.mark.parametrize("components, affine", [
+    (Linear(1.0), True), (Cap(1.0), True), ([Linear(1.0), Cap(0.5), Linear(2.0)], True),
+    (Power(1.0, 2.0), False), ([Linear(1.0), Cap(0.5), Power(2.0, 2.0)], False),
+    (PiecewiseLinearConvex([(0, 0), (1, 1)]), False),
+])
+def test_affine_flag(components, affine):
+    # the quadratic specs with no Power component: curvature 0.0 on every line
+    spec = GobSpec(3, components)
+    assert spec.affine is affine
+    if affine:
+        assert spec.quadratic
+        assert spec.line(np.full(3, 0.1), np.array([0.6, 0.0, 0.8]))[2] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # ball-level queries
 

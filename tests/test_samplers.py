@@ -244,6 +244,38 @@ def test_linear_chain_bytes_uniform_as_per_edge(a, digest):
     assert hashlib.sha256(shared.tobytes()).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize("spec, digest", [
+    (GobSpec(6, Linear(1.0)), "9ad99a38fbce556b"),
+    (GobSpec(4, Cap(0.8)), "96e69c5586c22f9e"),
+    (GobSpec(4, [Linear(1.0), Cap(0.5), Linear(0.7), Cap(1.0), Linear(2.0),
+                 Linear(1.0)]), "b2d1d818d705ce49"),
+], ids=["linear", "cap", "mixed"])
+def test_affine_chain_bytes_across_blocks(spec, digest):
+    # 14 000 steps: four blocks of draws and 13 refreshes of the running
+    # sum; the digests are those of the chain before it shared its loop
+    # with every other spec
+    cfg = SamplerConfig(method="hit_and_run", burn_in=5000, thinning=150)
+    X = hit_and_run(spec, cfg, substream(20260824, (3, 15, 1)), 60)
+    assert hashlib.sha256(X.tobytes()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("component", [Linear(1.0), Power(1.0, 2.0)],
+                         ids=["linear", "power"])
+def test_hit_and_run_memory_is_bounded_by_its_block(component):
+    # 4097 steps at n = 100 (d = 4950): a block of 4096 directions would
+    # hold 155 MiB; the block is cut to _BLOCK_BYTES of them
+    spec = GobSpec(100, component)
+    cfg = SamplerConfig(method="hit_and_run", burn_in=4096, thinning=1)
+    tracemalloc.start()
+    try:
+        X = hit_and_run(spec, cfg, _stream(23), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert X.shape == (1, spec.dim) and np.all(X >= 0)
+    assert peak < 2 * _BLOCK_BYTES
+
+
 def test_hit_and_run_stays_on_ball():
     spec = GobSpec(3, [Linear(1.0), Power(a=1.0, q=2.0), Cap(0.5)])
     cfg = SamplerConfig(method="hit_and_run", burn_in=100, thinning=3)
@@ -288,8 +320,8 @@ def test_draw_on_chord_matches_integrated_cdf(density):
     w = np.array([density.weight(v) for v in g.tolist()])
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]))])
     cdf /= cdf[-1]
-    stream = _stream(17)
-    draws = [_draw_on_chord(spec, x, u, t_lo, t_hi, stream) for _ in range(5000)]
+    stream, line = _stream(17), spec.line(x, u)
+    draws = [_draw_on_chord(spec, x, u, t_lo, t_hi, stream, line) for _ in range(5000)]
     assert stats.kstest(draws, lambda t: np.interp(t, ts, cdf)).pvalue > 1e-3
 
 
@@ -302,7 +334,7 @@ def test_draw_on_chord_gives_up_after_max_proposals(monkeypatch):
     u = np.array([1.0, -0.5, 0.8]) / np.sqrt(1.89)
     t_lo, t_hi = spec.chord(x, u)
     with pytest.raises(RuntimeError, match="PowerDecay.*50 proposals"):
-        _draw_on_chord(spec, x, u, t_lo, t_hi, _stream(19))
+        _draw_on_chord(spec, x, u, t_lo, t_hi, _stream(19), spec.line(x, u))
 
 
 def test_hit_and_run_radial_law_of_g():
@@ -341,21 +373,6 @@ def test_hit_and_run_chain_stays_in_ball(data, n, density, seed):
     assert max(spec.total(x) for x in X) <= 1.0 + 1e-9
 
 
-class _StepMarkingStream:
-    """A Generator wrapper that logs the start of every chain step (its
-    normal draw) into `events`, beside the G evaluations logged there."""
-
-    def __init__(self, stream, events):
-        self._stream, self._events = stream, events
-
-    def standard_normal(self, *args, **kwargs):
-        self._events.append(("step", None))
-        return self._stream.standard_normal(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self._stream, name)
-
-
 @pytest.mark.parametrize("spec", [
     GobSpec(4, [Linear(1.0), Power(1.0, 2.0), Cap(0.6), Power(0.8, 2.0),
                 Linear(0.7), Power(1.2, 2.0)], radial_density=ExponentialDecay(1.5)),
@@ -365,19 +382,25 @@ class _StepMarkingStream:
 ], ids=["quadratic", "pwl"])
 def test_hit_and_run_evaluates_g_once_per_step_at_its_state(monkeypatch, spec):
     # every array evaluation of G (total_and_slope, which total calls) is
-    # logged with its point; each step evaluates G at its current state
-    # exactly once, and a quadratic spec evaluates it nowhere else
+    # logged with its point, and every step is marked where it asks for G
+    # along its line; each step evaluates G at its current state exactly
+    # once, and a quadratic spec evaluates it nowhere else
     events = []
-    inner = GobSpec.total_and_slope
+    inner_g, inner_line = GobSpec.total_and_slope, GobSpec.line
 
     def logged(self, y, v=None):
         events.append(("G", np.array(y)))
-        return inner(self, y, v)
+        return inner_g(self, y, v)
+
+    def marked(self, x, u):
+        events.append(("step", None))
+        return inner_line(self, x, u)
 
     monkeypatch.setattr(GobSpec, "total_and_slope", logged)
+    monkeypatch.setattr(GobSpec, "line", marked)
     cfg = SamplerConfig(method="hit_and_run", burn_in=0, thinning=1)
     steps = 40
-    X = hit_and_run(spec, cfg, _StepMarkingStream(_stream(19), events), steps)
+    X = hit_and_run(spec, cfg, _stream(19), steps)
     states = [start_point(spec)] + list(X[:-1])
     marks = [i for i, (kind, _) in enumerate(events) if kind == "step"]
     assert len(marks) == steps
