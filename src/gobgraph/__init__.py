@@ -14,8 +14,7 @@ from .orlicz import (Cap, ExponentialDecay, GobSpec, Indicator, Linear,
                      PiecewiseLinearConvex, Power, PowerDecay)
 from .rng import substream
 from .samplers import (SamplerConfig, ValidationReport, exact_twin,
-                       hit_and_run, ks_critical, make_sampler, sample_cube,
-                       sample_lq_orthant, sample_shared_scale, sample_simplex,
-                       sample_simplex_censored, start_point, validate_sampler)
+                       hit_and_run, ks_critical, make_sampler,
+                       sample_shared_scale, start_point, validate_sampler)
 
 __version__ = "0.1.0"

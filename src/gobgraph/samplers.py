@@ -1,7 +1,10 @@
 """Samplers for edge vectors on generalized Orlicz balls.
 
-Exact samplers cover the cube (all-Cap), simplex (all-Linear) and
-scaled l_q orthant (all-Power) special cases; hit-and-run covers the
+`make_sampler(spec, cfg)` is the one way to draw from a ball: it checks
+that `cfg.method` samples the `GobSpec` and binds the two into a
+callable (stream, count).  Exact samplers cover the cube (all-Cap),
+simplex (all-Linear) and scaled l_q orthant (all-Power, one q) special
+cases, as the table `_EXACT` lists them; hit-and-run covers the
 general ball, including radial densities h(sum f_e(x_e)) restricted to
 the ball.  Every spec runs one chain loop, `hit_and_run`, which draws
 in blocks of at most 4096 steps and `_BLOCK_BYTES` of normals.  On an
@@ -21,10 +24,8 @@ Bulk draws go through `draw_blocks`, which asks a sampler for at most
 `_BLOCK_BYTES` of float64 coordinates per call, so the estimators, the
 scan pilot and `gobgraph sample` hold one block at a time however many
 draws they need.  The block's row count depends on the dimension alone.
-The cube and simplex samplers draw row after row from the stream, so
-their blocks concatenate to the same values as one call; `exact_lq` draws
-all of a call's gammas before its exponentials, so beyond one block its
-values differ from one call's (the law is the same).  Hit-and-run starts
+The exact samplers draw row after row from the stream, so their blocks
+concatenate to the same values as one call.  Hit-and-run starts
 a new chain, at the analytic centre (`start_point`) and with its own
 burn-in, on every call, so a draw larger than one block runs one chain
 per block.
@@ -34,7 +35,7 @@ from the stream, for every method.
 A threshold scan keeps only the coordinates at or below the largest p of
 its grid, so with `SamplerConfig.censor_above` set to that level the
 exact simplex sampler draws those coordinates alone
-(`sample_simplex_censored`) and returns each draw as that set, a pair
+(`_simplex_censored`) and returns each draw as that set, a pair
 (positions, values), with no array of d coordinates.  Each pair has the
 law of a dense draw's coordinates at or below the level, so every graph
 at a threshold up to the level has its exact law; the stream is used
@@ -45,6 +46,7 @@ ignore the level and return full (count, d) arrays.
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -77,11 +79,10 @@ class SamplerConfig:
     thinning: int | None = None
     censor_above: float | None = None
 
-    _METHODS = ("exact_cube", "exact_simplex", "exact_lq", "hit_and_run")
-
     def __post_init__(self):
-        if self.method not in self._METHODS:
-            raise ValueError(f"method must be one of {self._METHODS}, got {self.method!r}")
+        methods = (*_EXACT, "hit_and_run")
+        if self.method not in methods:
+            raise ValueError(f"method must be one of {methods}, got {self.method!r}")
         for name in ("burn_in", "thinning"):
             value = getattr(self, name)
             if value is not None and (isinstance(value, bool)
@@ -100,33 +101,29 @@ class SamplerConfig:
         return burn, thin
 
 
-def sample_cube(n, stream, count=1, scales=1.0):
-    """Uniform draws on the box prod [0, scales_e]."""
-    d = edge_count(n)
-    return stream.random((count, d)) * scales
+def _cube(spec, stream, count):
+    """Uniform draws on the box prod [0, a_e]."""
+    return stream.random((count, spec.dim)) * spec.a
 
 
-def sample_simplex(n, coeffs, stream, count=1):
-    """Exact uniform draws on {x >= 0 : sum_e coeffs_e * x_e <= 1}.
+def _simplex(spec, stream, count):
+    """Exact uniform draws on {x >= 0 : sum_e x_e / a_e <= 1}.
 
     Exponential spacings: with E_1..E_{d+1} iid standard exponential,
     (E_1, .., E_d)/sum is uniform on the unit simplex.  Both divisions
     run in place, so the result is a view into the (count, d+1) draw and
     no second array of that size is made.
     """
-    d = edge_count(n)
-    coeffs = np.asarray(coeffs, dtype=float)
-    if np.any(coeffs <= 0):
-        raise ValueError("simplex coefficients must be positive")
+    d = spec.dim
     e = stream.standard_exponential((count, d + 1))
     y = e[:, :d]
     y /= e.sum(axis=1, keepdims=True)
-    y /= coeffs
+    y /= 1.0 / spec.a
     return y
 
 
-def sample_simplex_censored(n, coeffs, level, stream, count=1):
-    """`sample_simplex` draws cut to their coordinates at or below `level`.
+def _simplex_censored(spec, level, stream, count):
+    """`_simplex` draws cut to their coordinates at or below `level`.
 
     Returns a list of `count` pairs (positions, values), one per draw: the
     positions in [0, d) of the kept coordinates, in the order they were
@@ -135,27 +132,22 @@ def sample_simplex_censored(n, coeffs, level, stream, count=1):
 
     Only the coordinates at or below the level are drawn (Devroye,
     Non-Uniform Random Variate Generation, 1986, ch. V).  With m = d + 1
-    exponentials E_i and x_i = E_i/S/coeffs_i, split at
-    c = level * max(coeffs) * (m + s sqrt(m) + s), s = _SPLIT_SIGMAS:
+    exponentials E_i and x_i = E_i/S/(1/a_i), split at
+    c = level * max(1/a) * (m + s sqrt(m) + s), s = _SPLIT_SIGMAS:
     K ~ Binomial(m, 1 - e^-c) of the E_i lie below c, at a uniform
     K-subset of positions, each Exp(1) truncated to [0, c] (inverse CDF).
     The other m - K are c plus Exp(1) excesses (memorylessness) and enter
     S only through their sum, (m - K) c + Gamma(m - K).  Such an E_i has
-    x_i > level unless level * max(coeffs) * S >= c, which needs S some s
+    x_i > level unless level * max(1/a) * S >= c, which needs S some s
     standard deviations above its mean; then their excesses are drawn
     exactly, as Gamma(m - K) times uniform spacings, since redrawing the
     whole vector would bias the law.  A coordinate is kept when its
     quotient x_i is at most the level, as `graph.build_graph` compares.
-    `coeffs` is a scalar or one positive value per edge.
     """
-    d = edge_count(n)
-    coeffs = np.asarray(coeffs, dtype=float)
-    if np.any(coeffs <= 0):
-        raise ValueError("simplex coefficients must be positive")
-    if not level > 0:
-        raise ValueError(f"censoring level must be > 0, got {level}")
+    d = spec.dim
+    a = spec.a
     m = d + 1
-    top = level * float(coeffs.max())  # E_i > top * S gives x_i > level
+    top = level * (1.0 / float(a.min()))  # E_i > top * S gives x_i > level
     c = max(0.0, top * (m + _SPLIT_SIGMAS * (math.sqrt(m) + 1.0)))
     below = -math.expm1(-c)  # P(E_i <= c)
     out = []
@@ -175,31 +167,27 @@ def sample_simplex_censored(n, coeffs, level, stream, count=1):
             e = np.concatenate([e, c + excess_sum * spacings])
         edge = pos < d  # position d is the slack coordinate
         pos = pos[edge]
-        x = e[edge] / s / (coeffs[pos] if coeffs.ndim else coeffs)
+        x = e[edge] / s / (1.0 / (a[pos] if a.ndim else a))
         keep = x <= level
         out.append((pos[keep], x[keep]))
     return out
 
 
-def sample_lq_orthant(n, q, scales, stream, count=1):
+def _lq_orthant(spec, stream, count):
     """Exact uniform draws on the orthant part of the scaled l_q ball.
 
     G_k with density prop. to exp(-t^q) on t > 0 comes exactly from
-    Gamma(1/q)^(1/q); with W standard exponential,
-    x_k = scales_k * G_k / (sum G^q + W)^(1/q) is uniform on
-    {x >= 0 : sum (x_k/scales_k)^q <= 1}.
+    Gamma(1/q)^(1/q); with W standard exponential, which is Gamma(1),
+    x_k = a_k * G_k / (sum G^q + W)^(1/q) is uniform on
+    {x >= 0 : sum (x_k/a_k)^q <= 1}.  Each row draws its d values G^q and
+    then its W, so blocks concatenate to the values of one call.
     """
-    if not q >= 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    d = edge_count(n)
-    scales = np.asarray(scales, dtype=float)
-    if np.any(scales <= 0):
-        raise ValueError("scales must be positive")
-    s = stream.standard_gamma(1.0 / q, (count, d))  # s = G^q
-    g = s ** (1.0 / q)
-    w = stream.standard_exponential((count, 1))
-    r = (s.sum(axis=1, keepdims=True) + w) ** (1.0 / q)
-    return scales * g / r
+    d = spec.dim
+    q = spec.components[0].q
+    shapes = np.append(np.full(d, 1.0 / q), 1.0)
+    s = stream.standard_gamma(shapes, (count, d + 1))  # G^q, then W
+    r = s.sum(axis=1, keepdims=True) ** (1.0 / q)
+    return spec.a * s[:, :d] ** (1.0 / q) / r
 
 
 def sample_shared_scale(n, stream, count=1):
@@ -336,20 +324,29 @@ def hit_and_run(spec, cfg, stream, count):
     return out
 
 
-def _all_of(spec, kind):
-    return all(isinstance(c, kind) for c in spec.components)
+# exact method -> (the component kind of every edge it samples, its draw);
+# an exact method needs the uniform law, and exact_lq one q for every edge
+_EXACT = {"exact_cube": (Cap, _cube),
+          "exact_simplex": (Linear, _simplex),
+          "exact_lq": (Power, _lq_orthant)}
 
 
-def _uniform_power_q(spec):
-    qs = {c.q for c in spec.components}
-    return qs.pop() if len(qs) == 1 else None
+def exact_twin(spec):
+    """The exact method that samples a spec, or None if none applies."""
+    if not isinstance(spec.radial_density, Indicator):
+        return None
+    comps = spec.components
+    for method, (kind, _) in _EXACT.items():
+        if all(isinstance(c, kind) for c in comps):
+            return None if kind is Power and len({c.q for c in comps}) > 1 else method
+    return None
 
 
 def check_method(spec, method):
     """Raise ValueError unless `method` can sample `spec`: hit-and-run
     samples every spec, an exact method only the specs it is the
     `exact_twin` of."""
-    if method == "hit_and_run":
+    if method not in _EXACT:
         return
     twin = exact_twin(spec)
     if method != twin:
@@ -361,35 +358,14 @@ def check_method(spec, method):
 def make_sampler(spec, cfg):
     """Bind a spec and config into a callable (stream, count) -> (count, d)
     array, or -> `count` (positions, values) pairs for a censored
-    exact_simplex config (`sample_simplex_censored`)."""
+    exact_simplex config (`_simplex_censored`).  This is the one way to
+    draw from a ball."""
     check_method(spec, cfg.method)
-    n = spec.n
-    if cfg.method == "exact_cube":
-        return lambda stream, count: sample_cube(n, stream, count, spec.a)
-    if cfg.method == "exact_simplex":
-        coeffs = 1.0 / spec.a
-        level = cfg.censor_above
-        if level is None:
-            return lambda stream, count: sample_simplex(n, coeffs, stream, count)
-        return lambda stream, count: sample_simplex_censored(
-            n, coeffs, level, stream, count)
-    if cfg.method == "exact_lq":
-        q = _uniform_power_q(spec)
-        return lambda stream, count: sample_lq_orthant(n, q, spec.a, stream, count)
-    return lambda stream, count: hit_and_run(spec, cfg, stream, count)
-
-
-def exact_twin(spec):
-    """Exact sampler config for a spec, or None if no exact method applies."""
-    if not isinstance(spec.radial_density, Indicator):
-        return None
-    if _all_of(spec, Cap):
-        return "exact_cube"
-    if _all_of(spec, Linear):
-        return "exact_simplex"
-    if _all_of(spec, Power) and _uniform_power_q(spec) is not None:
-        return "exact_lq"
-    return None
+    if cfg.method == "hit_and_run":
+        return partial(hit_and_run, spec, cfg)
+    if cfg.method == "exact_simplex" and cfg.censor_above is not None:
+        return partial(_simplex_censored, spec, cfg.censor_above)
+    return partial(_EXACT[cfg.method][1], spec)
 
 
 def ks_critical(alpha, n, m):

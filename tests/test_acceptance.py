@@ -19,8 +19,7 @@ from gobgraph import (Cap, GobSpec, Linear, Power, SamplerConfig, ScanConfig,
                       build_graph, components, components_bfs, edge_count,
                       er_connectivity_oracle, estimate_moments, ks_critical,
                       make_sampler, marginal_bound_check, nc_test, run_scan,
-                      sample_lq_orthant, sample_shared_scale, sample_simplex,
-                      substream, threshold_locator)
+                      sample_shared_scale, substream, threshold_locator)
 from gobgraph.cli import nc_thresholds, random_nc_indices
 from gobgraph.report import emit_csv
 
@@ -96,7 +95,7 @@ def test_criterion_3_hit_and_run_vs_exact(criterion):
         cfg = SamplerConfig(method="hit_and_run", burn_in=HR_BURN,
                             thinning=HR_THIN[d])
         hr = make_sampler(spec, cfg)
-        A = sample_simplex(n, np.ones(d), substream(SEED, (3, d, 0)), draws)
+        A = _simplex_sampler(n)(substream(SEED, (3, d, 0)), draws)
         B = hr(substream(SEED, (3, d, 1)), draws)
         ks = max(stats.ks_2samp(A[:, k], B[:, k]).statistic for k in range(d))
         crit = ks_critical(0.01, draws, draws)

@@ -442,11 +442,13 @@ def test_cli_sample_and_moments(tmp_path):
     assert len(lines) == 7
 
 
-@pytest.mark.parametrize("family", ["simplex", "cube"])
-def test_cli_sample_same_bytes_across_blocks(tmp_path, monkeypatch, family):
+@pytest.mark.parametrize("model", ["family: simplex", "family: cube",
+                                   "family: lq, q: 3"],
+                         ids=["simplex", "cube", "lq"])
+def test_cli_sample_same_bytes_across_blocks(tmp_path, monkeypatch, model):
     # `sample` writes one draw_blocks block at a time; an exact sampler's
     # blocks concatenate to one draw of all the rows
-    cfg = _write_cfg(tmp_path, f"model: {{family: {family}, n: 4}}\n"
+    cfg = _write_cfg(tmp_path, f"model: {{{model}, n: 4}}\n"
                                "sampler: {seed: 3}\n")
     whole, blocked = tmp_path / "whole", tmp_path / "blocked"
     assert main(["sample", "--config", cfg, "--out", str(whole),

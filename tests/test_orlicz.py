@@ -52,6 +52,9 @@ def test_construction_validation():
         Linear(a=-1)
     with pytest.raises(ValueError):
         Cap(a=0)
+    # a simplex coefficient 1/a of 0 is an infinite extent
+    with pytest.raises(ValueError):
+        GobSpec(3, [Linear(1.0), Linear(INF), Linear(1.0)])
 
 
 def test_pwl_validation():

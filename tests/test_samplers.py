@@ -9,10 +9,8 @@ from scipy import special, stats
 
 from gobgraph import (Cap, ExponentialDecay, GobSpec, Indicator, Linear,
                       PiecewiseLinearConvex, PowerDecay, Power, SamplerConfig,
-                      exact_twin, hit_and_run,
-                      ks_critical, make_sampler, sample_cube, sample_lq_orthant,
-                      sample_shared_scale, sample_simplex,
-                      sample_simplex_censored, start_point, substream,
+                      exact_twin, hit_and_run, ks_critical, make_sampler,
+                      sample_shared_scale, start_point, substream,
                       validate_sampler)
 from gobgraph import samplers
 from gobgraph.orlicz import MEMBERSHIP_TOL
@@ -24,11 +22,15 @@ def _stream(key=0):
     return substream(42, key)
 
 
+def _exact(spec, method, censor_above=None):
+    return make_sampler(spec, SamplerConfig(method=method, censor_above=censor_above))
+
+
 # ---------------------------------------------------------------------------
 # exact samplers
 
 def test_cube_support_and_moments():
-    X = sample_cube(3, _stream(1), count=100_000)
+    X = _exact(GobSpec(3, Cap(1.0)), "exact_cube")(_stream(1), 100_000)
     assert X.shape == (100_000, 3)
     assert X.min() >= 0 and X.max() <= 1
     assert X.mean() == pytest.approx(0.5, abs=0.005)
@@ -36,14 +38,15 @@ def test_cube_support_and_moments():
 
 
 def test_cube_scales():
-    X = sample_cube(3, _stream(2), count=20_000, scales=np.array([1.0, 2.0, 0.5]))
+    spec = GobSpec(3, [Cap(1.0), Cap(2.0), Cap(0.5)])
+    X = _exact(spec, "exact_cube")(_stream(2), 20_000)
     assert np.all(X.max(axis=0) <= [1.0, 2.0, 0.5])
     assert X[:, 1].mean() == pytest.approx(1.0, abs=0.02)
 
 
 def test_simplex_support_and_oracle_values():
     # d = 3 uniform simplex: E X_e^2 = 1/10 and P(X_1 > 1/2) = (1/2)^3
-    X = sample_simplex(3, np.ones(3), _stream(3), count=100_000)
+    X = _exact(GobSpec(3, Linear(1.0)), "exact_simplex")(_stream(3), 100_000)
     assert np.all(X >= 0)
     assert np.all(X.sum(axis=1) <= 1.0 + 1e-12)
     assert np.mean(X[:, 0] ** 2) == pytest.approx(0.1, abs=0.003)
@@ -52,20 +55,16 @@ def test_simplex_support_and_oracle_values():
 
 def test_simplex_coefficients_scale_marginals():
     coeffs = np.array([1.0, 1.0, 2.0])
-    X = sample_simplex(3, coeffs, _stream(4), count=100_000)
+    spec = GobSpec(3, [Linear(1.0 / c) for c in coeffs])
+    X = _exact(spec, "exact_simplex")(_stream(4), 100_000)
     assert np.all(X @ coeffs <= 1.0 + 1e-12)
     # x_2 = y_2 / 2 with y uniform on the unit simplex, so E x_2^2 = 0.1/4
     assert np.mean(X[:, 2] ** 2) == pytest.approx(0.025, abs=0.001)
 
 
-def test_simplex_rejects_bad_coefficients():
-    with pytest.raises(ValueError):
-        sample_simplex(3, np.array([1.0, -1.0, 1.0]), _stream(), count=1)
-
-
 def test_lq_support_and_second_moment():
     # d = 3, q = 2: marginal density prop. to (1 - x^2), E X^2 = 1/5
-    X = sample_lq_orthant(3, 2.0, 1.0, _stream(5), count=100_000)
+    X = _exact(GobSpec(3, Power(1.0, 2.0)), "exact_lq")(_stream(5), 100_000)
     assert np.all(X >= 0)
     assert np.all(np.sum(X ** 2, axis=1) <= 1.0 + 1e-12)
     assert np.mean(X[:, 0] ** 2) == pytest.approx(0.2, abs=0.006)
@@ -73,18 +72,11 @@ def test_lq_support_and_second_moment():
 
 def test_lq_q1_matches_simplex():
     # the q = 1 orthant ball is the simplex; cross-check the two exact routes
-    A = sample_lq_orthant(4, 1.0, 1.0, _stream(6), count=50_000)
-    B = sample_simplex(4, np.ones(6), _stream(7), count=50_000)
+    A = _exact(GobSpec(4, Power(1.0, 1.0)), "exact_lq")(_stream(6), 50_000)
+    B = _exact(GobSpec(4, Linear(1.0)), "exact_simplex")(_stream(7), 50_000)
     for k in range(6):
         ks = stats.ks_2samp(A[:, k], B[:, k]).statistic
         assert ks < ks_critical(0.01 / 6, 50_000, 50_000)
-
-
-def test_lq_rejects_bad_args():
-    with pytest.raises(ValueError):
-        sample_lq_orthant(3, 0.5, 1.0, _stream(), count=1)
-    with pytest.raises(ValueError):
-        sample_lq_orthant(3, 2.0, np.array([1.0, 0.0, 1.0]), _stream(), count=1)
 
 
 def test_shared_scale_range_and_positive_correlation():
@@ -100,6 +92,8 @@ def test_shared_scale_range_and_positive_correlation():
 _CENSOR_N, _CENSOR_D = 12, 66
 # per-edge coefficients over [0.5, 2]: edges 0 and 1 hold the extremes
 _EDGE_COEFFS = np.concatenate([[2.0, 0.5], np.linspace(0.6, 1.9, _CENSOR_D - 2)])
+_CENSOR_SPECS = [GobSpec(_CENSOR_N, Linear(1.0)),
+                 GobSpec(_CENSOR_N, [Linear(1.0 / c) for c in _EDGE_COEFFS])]
 
 
 def _densify(pairs, d, level):
@@ -114,15 +108,14 @@ def _densify(pairs, d, level):
     return out
 
 
-def _censored_vs_dense(coeffs, level, reps=20_000):
+def _censored_vs_dense(spec, level, reps=20_000):
     """Two-sample KS p-values, censored against dense draws, of per-row
     statistics (iid across rows): the count of coordinates at or below
     the level, their sum, and edges 0 and 1 where kept."""
-    pairs = sample_simplex_censored(_CENSOR_N, coeffs, level, _stream(40), reps)
+    pairs = _exact(spec, "exact_simplex", level)(_stream(40), reps)
     assert len(pairs) == reps
     A = _densify(pairs, _CENSOR_D, level)
-    B = sample_simplex(_CENSOR_N, np.broadcast_to(coeffs, (_CENSOR_D,)),
-                       _stream(41), reps)
+    B = _exact(spec, "exact_simplex")(_stream(41), reps)
     assert B.shape == (reps, _CENSOR_D)
     kept_a, kept_b = A <= level, B <= level
     stats_a = [kept_a.sum(axis=1), np.where(kept_a, A, 0.0).sum(axis=1),
@@ -132,38 +125,30 @@ def _censored_vs_dense(coeffs, level, reps=20_000):
     return [stats.ks_2samp(a, b).pvalue for a, b in zip(stats_a, stats_b)]
 
 
-@pytest.mark.parametrize("coeffs", [1.0, _EDGE_COEFFS], ids=["uniform", "per_edge"])
-def test_censored_simplex_matches_dense(coeffs):
+@pytest.mark.parametrize("spec", _CENSOR_SPECS, ids=["uniform", "per_edge"])
+def test_censored_simplex_matches_dense(spec):
     # the level keeps about a third of the 66 coordinates
-    assert min(_censored_vs_dense(coeffs, 0.006)) > 1e-3
+    assert min(_censored_vs_dense(spec, 0.006)) > 1e-3
 
 
-@pytest.mark.parametrize("coeffs", [1.0, _EDGE_COEFFS], ids=["uniform", "per_edge"])
+@pytest.mark.parametrize("spec", _CENSOR_SPECS, ids=["uniform", "per_edge"])
 @pytest.mark.parametrize("sigmas", [0.0, -2.0, -1e9])
-def test_censored_simplex_fallback_matches_dense(monkeypatch, coeffs, sigmas):
+def test_censored_simplex_fallback_matches_dense(monkeypatch, spec, sigmas):
     # a low split sends some (0.0), nearly all (-2.0) or every (-1e9, the
     # split clamps to 0) draw down the exact-excess path, with coordinates
     # above the split that are kept
     monkeypatch.setattr(samplers, "_SPLIT_SIGMAS", sigmas)
-    assert min(_censored_vs_dense(coeffs, 0.006)) > 1e-3
+    assert min(_censored_vs_dense(spec, 0.006)) > 1e-3
 
 
 def test_censored_simplex_zero_count_and_arguments():
-    probed, fresh = _stream(42), _stream(42)
-    assert sample_simplex_censored(5, 1.0, 0.1, probed, 0) == []
-    first = sample_simplex_censored(5, 1.0, 0.1, probed, 2)
-    again = sample_simplex_censored(5, 1.0, 0.1, fresh, 2)
-    assert np.array_equal(_densify(first, 10, 0.1), _densify(again, 10, 0.1))
-    sampler = make_sampler(GobSpec(5, Linear(1.0)),
-                           SamplerConfig(method="exact_simplex", censor_above=0.1))
+    sampler = _exact(GobSpec(5, Linear(1.0)), "exact_simplex", 0.1)
     probed, fresh = _stream(43), _stream(43)
     assert sampler(probed, 0) == []
     assert np.array_equal(_densify(sampler(probed, 2), 10, 0.1),
                           _densify(sampler(fresh, 2), 10, 0.1))
     with pytest.raises(ValueError):
-        sample_simplex_censored(3, np.array([1.0, 0.0, 1.0]), 0.1, _stream(), 1)
-    with pytest.raises(ValueError):
-        sample_simplex_censored(3, 1.0, 0.0, _stream(), 1)
+        SamplerConfig(method="exact_simplex", censor_above=0.0)
     with pytest.raises(ValueError):
         SamplerConfig(method="exact_simplex", censor_above=-0.5)
 
@@ -183,11 +168,37 @@ def test_censor_level_ignored_by_other_methods():
 # determinism
 
 def test_streams_reproduce_and_split():
-    a = sample_simplex(4, np.ones(6), substream(7, (3, 1)), count=10)
-    b = sample_simplex(4, np.ones(6), substream(7, (3, 1)), count=10)
-    c = sample_simplex(4, np.ones(6), substream(7, (3, 2)), count=10)
+    sampler = _exact(GobSpec(4, Linear(1.0)), "exact_simplex")
+    a = sampler(substream(7, (3, 1)), 10)
+    b = sampler(substream(7, (3, 1)), 10)
+    c = sampler(substream(7, (3, 2)), 10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# digests of the program path's draws at n = 12: a last-bit change in how
+# a spec's extents enter a draw (dividing by 1/a, or the censored split
+# level) moves them, where a uniform coefficient of 1 would not
+_PIN_SPECS = {"uniform": GobSpec(_CENSOR_N, Linear(1.0 / 1.5)),
+              "per_edge": _CENSOR_SPECS[1],
+              "cap": GobSpec(_CENSOR_N, [Cap(c) for c in _EDGE_COEFFS])}
+
+
+@pytest.mark.parametrize("name, method, censor_above, digest", [
+    ("uniform", "exact_simplex", None, "90e84481bc8867a9"),
+    ("uniform", "exact_simplex", 0.02, "87c80a8eb1b3e3e9"),
+    ("per_edge", "exact_simplex", None, "a0c75a1deec20728"),
+    ("per_edge", "exact_simplex", 0.02, "17e066d83924268e"),
+    ("cap", "exact_cube", None, "4852f2419ca814e8"),
+])
+def test_exact_draws_keep_their_bytes(name, method, censor_above, digest):
+    sampler = _exact(_PIN_SPECS[name], method, censor_above)
+    if censor_above is None:
+        data = sampler(substream(20260824, (26, 1)), 50).tobytes()
+    else:
+        data = b"".join(pos.tobytes() + val.tobytes() for pos, val in
+                        sampler(substream(20260824, (26, 2)), 50))
+    assert hashlib.sha256(data).hexdigest()[:16] == digest
 
 
 def test_stream_key_validation():
@@ -485,13 +496,15 @@ def test_uniform_spec_and_sampler_hold_no_edge_array(component, method):
 def test_draw_blocks_rule_and_exact_concatenation():
     n, d = 20, 190
     rows = _BLOCK_BYTES // (8 * d)
-    sampler = make_sampler(GobSpec(n, Linear(1.0)),
-                           SamplerConfig(method="exact_simplex"))
     count = 2 * rows + 7
-    blocks = list(draw_blocks(sampler, _stream(31), count, d))
-    assert [b.shape for b in blocks] == [(rows, d), (rows, d), (7, d)]
-    assert np.array_equal(np.vstack(blocks), sampler(_stream(31), count))
-    assert list(draw_blocks(sampler, _stream(31), 0, d)) == []
+    for component, method in ((Linear(1.0), "exact_simplex"),
+                              (Cap(1.0), "exact_cube"),
+                              (Power(1.0, 3.0), "exact_lq")):
+        sampler = _exact(GobSpec(n, component), method)
+        blocks = list(draw_blocks(sampler, _stream(31), count, d))
+        assert [b.shape for b in blocks] == [(rows, d), (rows, d), (7, d)]
+        assert np.array_equal(np.vstack(blocks), sampler(_stream(31), count))
+        assert list(draw_blocks(sampler, _stream(31), 0, d)) == []
     # a row wider than a block still gets one row per call
     wide = _BLOCK_BYTES // 8 + 1
     one = lambda stream, count: np.zeros((count, wide))
@@ -503,6 +516,10 @@ def test_exact_twin_detection():
     assert exact_twin(GobSpec(3, Linear(0.5))) == "exact_simplex"
     assert exact_twin(GobSpec(3, Power(1.0, 2.0))) == "exact_lq"
     assert exact_twin(GobSpec(3, [Linear(1.0), Cap(1.0), Linear(1.0)])) is None
+    assert exact_twin(GobSpec(3, [Power(1.0, 2.0), Power(1.0, 3.0),
+                                  Power(2.0, 2.0)])) is None
+    assert exact_twin(GobSpec(3, [Power(1.0, 2.0), Power(2.0, 2.0),
+                                  Power(1.0, 2.0)])) == "exact_lq"
     assert exact_twin(
         GobSpec(3, Linear(1.0), radial_density=ExponentialDecay(1.0))) is None
 
